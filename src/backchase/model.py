@@ -133,7 +133,7 @@ class TupleId:
 
     @classmethod
     def parse(cls, text: str) -> "TupleId":
-        m = _ID_RE.match(text)
+        m = _ID_RE.match(text) if isinstance(text, str) else None
         if not m or not m.group("ord"):
             raise ValidationError(f"malformed tuple id {text!r}; expected <tag><ordinal>")
         return cls(m.group("tag"), int(m.group("ord")))
@@ -476,7 +476,13 @@ def instance_from_json(obj) -> Instance:
         rels.append(RelationSchema(name, attributes))
         entries = []
         for t in tuples:
-            tid = TupleId.parse(t["id"])
-            entries.append(Fact(tid, tuple(value_from_json(v) for v in t["values"])))
+            if not (isinstance(t, dict) and "id" in t
+                    and isinstance(t.get("values"), list)):
+                raise ValidationError(
+                    f"malformed tuple in relation {name!r}: {t!r}; "
+                    f"expected an object with 'id' and a 'values' list"
+                )
+            entries.append(Fact(TupleId.parse(t["id"]),
+                                tuple(value_from_json(v) for v in t["values"])))
         facts[name] = entries
     return Instance(Schema(tuple(rels)), facts)

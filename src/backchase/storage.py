@@ -35,6 +35,8 @@ def read_json(path: Path):
         return json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ValidationError(f"no such file: {path}") from None
+    except IsADirectoryError:
+        raise ValidationError(f"{path} is a directory, expected a JSON file") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 

@@ -8,15 +8,21 @@ import random
 from typing import Iterable, Sequence
 
 from backchase import (
+    Classification,
     Constant,
     Fact,
     Instance,
+    InverseType,
     Null,
     RelationSchema,
     Schema,
     SmoSpec,
     TupleId,
     const,
+    data_exchange_equivalent,
+    find_homomorphism,
+    instances_equal,
+    isomorphic,
     null,
 )
 from backchase.model import constant_order_key, relation_tag, value_sort_key
@@ -112,6 +118,60 @@ def brute_force_hom_exists(src: Instance, dst: Instance) -> bool:
         if ok:
             return True
     return False
+
+
+def brute_force_isomorphic(a: Instance, b: Instance) -> bool:
+    """Try every bijection between the nulls of ``a`` and those of ``b`` and
+    compare the renamed value-vector multisets per relation."""
+    def nulls_of(instance: Instance) -> list[int]:
+        return sorted({v.label for _, f in instance.iter_facts()
+                       for v in f.values if isinstance(v, Null)})
+
+    def vectors(instance: Instance, rename) -> dict[str, list]:
+        return {
+            rel: sorted(
+                (tuple(rename(v) for v in f.values) for f in instance.facts(rel)),
+                key=lambda vs: tuple(value_sort_key(v) for v in vs),
+            )
+            for rel in instance.schema.names()
+        }
+
+    labels_a, labels_b = nulls_of(a), nulls_of(b)
+    if len(labels_a) != len(labels_b):
+        return False
+    target = vectors(b, lambda v: v)
+    for image in itertools.permutations(labels_b):
+        renaming = dict(zip(labels_a, image))
+        renamed = vectors(a, lambda v: Null(renaming[v.label])
+                          if isinstance(v, Null) else v)
+        if renamed == target:
+            return True
+    return False
+
+
+def classify_report_reference(original: Instance, reconstructed: Instance,
+                              mapping: SchemaMapping) -> Classification:
+    """The classifier without short-circuits: all four flags are computed
+    for every pair, and the type is read off them strongest first.  It
+    reuses the library's equality, isomorphism, homomorphism and exchange
+    checks, so what it checks is the order in which they are skipped."""
+    hom_fwd = find_homomorphism(reconstructed, original) is not None
+    hom_bwd = find_homomorphism(original, reconstructed) is not None
+    card = reconstructed.size() == original.size()
+    de = data_exchange_equivalent(original, reconstructed, mapping)
+    if instances_equal(reconstructed, original):
+        t = InverseType.EXACT
+    elif isomorphic(reconstructed, original):
+        t = InverseType.CLASSICAL
+    elif hom_fwd and card and de:
+        t = InverseType.TP_RELAXED
+    elif hom_fwd and de:
+        t = InverseType.RELAXED
+    elif de:
+        t = InverseType.RESULT_EQUIVALENT
+    else:
+        t = InverseType.NONE
+    return Classification(t, hom_fwd, hom_bwd, card, de)
 
 
 def naive_trigger_matches(instance: Instance, mapping: SchemaMapping):

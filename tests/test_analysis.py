@@ -7,6 +7,7 @@ from backchase import (
     Fact,
     Instance,
     InverseType,
+    Null,
     RelationSchema,
     Schema,
     SchemaMapping,
@@ -29,12 +30,21 @@ from backchase.analysis import (
     verify_homomorphism,
     weakest,
 )
+from backchase import storage
 from backchase.pipeline import backchase, evolve
-from support import brute_force_hom_exists, inst
+from support import (
+    RESOURCE_CONFIGS,
+    SMO_CASES,
+    brute_force_hom_exists,
+    brute_force_isomorphic,
+    classify_report_reference,
+    inst,
+)
 
 R1 = Schema.of(RelationSchema("R", ("x",)))
 R2 = Schema.of(RelationSchema("R", ("x", "y")))
 R3 = Schema.of(RelationSchema("R", ("x", "y", "z")))
+RV = Schema.of(RelationSchema("R", ("x", "y")), RelationSchema("V", ("y", "z")))
 
 
 def facts(schema, rows, rel="R", tag="r"):
@@ -94,6 +104,60 @@ def test_hom_agrees_with_brute_force_random():
         assert (find_homomorphism(a, b) is not None) == brute_force_hom_exists(a, b)
 
 
+def pair(r_rows, v_rows):
+    """R(x, y), V(y, z) from rows whose ints are null labels."""
+    return Instance(RV, {
+        "R": facts(R2, r_rows).facts("R"),
+        "V": facts(R2, v_rows, tag="v").facts("R"),
+    })
+
+
+def null_blocks(instance):
+    """Connected components of shared nulls, by plain graph search."""
+    nulls = [{v.label for v in f.values if isinstance(v, Null)}
+             for _, f in instance.iter_facts()]
+    nulls = [labels for labels in nulls if labels]
+    blocks = 0
+    while nulls:
+        blocks += 1
+        reach = set(nulls.pop())
+        grown = True
+        while grown:
+            grown = False
+            for labels in list(nulls):
+                if labels & reach:
+                    reach |= labels
+                    nulls.remove(labels)
+                    grown = True
+    return blocks
+
+
+def test_hom_agrees_with_brute_force_across_relations_and_blocks():
+    rng = random.Random(29)
+    values = ["k1", "k2", "k3", 1, 2, 3, 4]
+    multi_block = shared_across = found = 0
+    for _ in range(400):
+        def rows():
+            return [tuple(rng.choice(values) for _ in range(2))
+                    for _ in range(rng.randint(0, 4))]
+
+        a = pair(rows(), rows())
+        b = pair([tuple(rng.choice(values[:4]) for _ in range(2))
+                  for _ in range(rng.randint(1, 5))],
+                 [tuple(rng.choice(values[:4]) for _ in range(2))
+                  for _ in range(rng.randint(1, 5))])
+        hom = find_homomorphism(a, b)
+        assert (hom is not None) == brute_force_hom_exists(a, b)
+        if hom is not None:
+            assert verify_homomorphism(hom, a, b)
+            found += 1
+        multi_block += null_blocks(a) >= 2
+        r_nulls, v_nulls = ({v.label for f in a.facts(rel) for v in f.values
+                             if isinstance(v, Null)} for rel in ("R", "V"))
+        shared_across += bool(r_nulls & v_nulls)
+    assert multi_block >= 100 and shared_across >= 100 and found >= 40
+
+
 # ---------------------------------------------------------------------------
 # isomorphism
 
@@ -138,6 +202,50 @@ def test_ground_isomorphism_is_multiset_equality():
     b = facts(R2, [("a", "b"), ("a", "c")])
     assert not isomorphic(a, b)
     assert isomorphic(a, facts(R2, [("a", "b"), ("a", "b")]))
+
+
+def relabeled(instance, rng):
+    """A copy with null labels permuted and facts shuffled per relation."""
+    labels = sorted({v.label for _, f in instance.iter_facts()
+                     for v in f.values if isinstance(v, Null)})
+    image = dict(zip(labels, rng.sample(range(10, 10 + len(labels)), len(labels))))
+    out = {}
+    for rel in instance.schema.names():
+        rows = [Fact(f.id, tuple(null(image[v.label])
+                                 if isinstance(v, Null) else v
+                                 for v in f.values))
+                for f in instance.facts(rel)]
+        rng.shuffle(rows)
+        out[rel] = rows
+    return Instance(instance.schema, out)
+
+
+def test_isomorphic_agrees_with_brute_force():
+    rng = random.Random(31)
+    values = ["k1", "k2", 1, 2, 3, 4]
+    positives = 0
+    for _ in range(400):
+        def rows():
+            return [tuple(rng.choice(values) for _ in range(2))
+                    for _ in range(rng.randint(0, 4))]
+
+        a = pair(rows(), rows())
+        roll = rng.random()
+        if roll < 0.4:
+            b = relabeled(a, rng)
+        elif roll < 0.7:
+            # same shape, one value moved: often still isomorphic by accident
+            r_rows, v_rows = rows(), rows()
+            b = relabeled(pair(r_rows, v_rows), rng)
+            a = pair(r_rows[:-1] + [(r_rows[-1][0], rng.choice(values))]
+                     if r_rows else r_rows, v_rows)
+        else:
+            b = pair(rows(), rows())
+        expected = brute_force_isomorphic(a, b)
+        assert isomorphic(a, b) == expected
+        assert isomorphic(b, a) == expected
+        positives += expected
+    assert 150 <= positives <= 350
 
 
 # ---------------------------------------------------------------------------
@@ -281,3 +389,87 @@ def test_strength_order_and_weakest():
     assert weakest([]) == InverseType.EXACT
     assert at_least(InverseType.EXACT, InverseType.RELAXED)
     assert not at_least(InverseType.NONE, InverseType.RESULT_EQUIVALENT)
+
+
+# ---------------------------------------------------------------------------
+# the short-circuit classifier against the full one
+
+
+def assert_classifications_agree(run):
+    result = backchase(run)
+    for step, inversion in zip(run.steps, result.steps):
+        expected = classify_report_reference(step.source, inversion.reconstructed,
+                                             step.mapping)
+        assert inversion.classification == expected, (step.smo, expected)
+        assert classify_report(step.source, inversion.reconstructed,
+                               step.mapping) == expected
+    return result
+
+
+def test_short_circuit_matches_reference_on_fixtures(fixtures_dir):
+    sources = sorted(fixtures_dir.glob("*_source.json"))
+    assert len(sources) == 3
+    for source_path in sources:
+        prefix = source_path.name[: -len("source.json")]
+        source = storage.load_instance(source_path)
+        script = storage.load_script(fixtures_dir / f"{prefix}script.json")
+        for mode, side in RESOURCE_CONFIGS:
+            assert_classifications_agree(
+                evolve(source, script, mode, build_side_tables=side))
+
+
+def test_short_circuit_matches_reference_on_operator_roundtrips():
+    rng = random.Random(53)
+    seen = set()
+    for kind, cases in SMO_CASES.items():
+        for case in cases:
+            instance, smo = case(rng)
+            for mode, side in RESOURCE_CONFIGS:
+                result = assert_classifications_agree(
+                    evolve(instance, [smo], mode, build_side_tables=side))
+                seen.add(result.steps[0].classification.type)
+    assert seen >= {InverseType.EXACT, InverseType.TP_RELAXED,
+                    InverseType.RELAXED, InverseType.RESULT_EQUIVALENT}
+
+
+def test_short_circuit_matches_reference_on_null_reconstructions():
+    rng = random.Random(59)
+    mapping = SchemaMapping(RV, Schema.of(RelationSchema("T", ("x", "z"))),
+                            (parse_tgd("R(a, b) AND V(b, c) -> T(a, c)"),))
+    values = ["k1", "k2", "k3", 1, 2, 3]
+    seen = set()
+    for _ in range(300):
+        def rows(pool):
+            return [tuple(rng.choice(pool) for _ in range(2))
+                    for _ in range(rng.randint(0, 4))]
+
+        original = pair(rows(values[:3]), rows(values[:3]))
+        roll = rng.random()
+        if roll < 0.25:
+            reconstructed = relabeled(pair(rows(values), rows(values)), rng)
+            original = relabeled(reconstructed, rng)
+        elif roll < 0.65:
+            # blank out some values of the original with fresh nulls
+            fresh = iter(range(1, 100))
+            reconstructed = Instance(RV, {rel: [
+                Fact(f.id, tuple(null(next(fresh)) if rng.random() < 0.4 else v
+                                 for v in f.values))
+                for f in original.facts(rel)] for rel in ("R", "V")})
+        else:
+            reconstructed = pair(rows(values), rows(values))
+        if not reconstructed.has_nulls():
+            continue
+        expected = classify_report_reference(original, reconstructed, mapping)
+        assert classify_report(original, reconstructed, mapping) == expected
+        seen.add(expected.type)
+    assert seen >= {InverseType.EXACT, InverseType.CLASSICAL,
+                    InverseType.TP_RELAXED, InverseType.RELAXED,
+                    InverseType.RESULT_EQUIVALENT, InverseType.NONE}
+
+
+def test_exact_with_mismatched_mapping_still_raises(join_case):
+    src = join_case["source"]
+    mapping = SchemaMapping(R2, Schema.of(RelationSchema("T", ("x", "y"))),
+                            (parse_tgd("R(a, b) -> T(a, b)"),))
+    with pytest.raises(SchemaMismatch):
+        classify_report(src, src, mapping)

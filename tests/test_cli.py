@@ -114,6 +114,35 @@ def test_validation_error_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tuple_obj", [
+    {"values": [{"const": "1"}]},
+    {"id": 7, "values": [{"const": "1"}]},
+    {"id": "r1"},
+    "r1",
+])
+def test_malformed_tuple_exits_2(tmp_path, fixtures_dir, capsys, tuple_obj):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"relations": [
+        {"name": "R", "attributes": ["id"], "tuples": [tuple_obj]}]}))
+    code = run_cli("evolve", "--in", str(bad),
+                   "--script", str(fixtures_dir / "join_dangling_script.json"),
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: malformed tuple" in err
+    assert "Traceback" not in err
+
+
+def test_directory_as_input_exits_2(tmp_path, fixtures_dir, capsys):
+    code = run_cli("roundtrip", "--in", str(tmp_path),
+                   "--script", str(fixtures_dir / "join_dangling_script.json"),
+                   "--report", str(tmp_path / "r.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "is a directory" in err
+    assert "Traceback" not in err
+
+
 def test_catalog_lists_all_operators(capsys):
     assert run_cli("catalog") == 0
     out = capsys.readouterr().out
