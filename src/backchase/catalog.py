@@ -175,7 +175,12 @@ def smo_from_json(obj) -> SmoSpec:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValidationError(f"script step must be an object with 'kind': {obj!r}")
     params = {k: v for k, v in obj.items() if k not in ("kind", "variant")}
-    return SmoSpec(obj["kind"], params, int(obj.get("variant", 1)))
+    try:
+        variant = int(obj.get("variant", 1))
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"variant must be 1 or 2, got {obj['variant']!r}") from None
+    return SmoSpec(obj["kind"], params, variant)
 
 
 def script_to_json(script: Sequence[SmoSpec]) -> dict:

@@ -3,17 +3,24 @@
 Since every dependency reads the source schema and writes the target schema,
 one pass over all triggers terminates.  Trigger order is deterministic: tgds
 in declaration order, body matches in canonical fact order (value-vector sort,
-then tuple id), nested left to right over the body atoms.
+then tuple id), nested left to right over the body atoms.  Each body atom
+after the first is looked up in a hash index on the positions the atoms
+before it fix, through shared variables or ``=`` conditions between
+variables.  The index skips facts that cannot match but keeps canonical order
+inside each bucket, so the triggers that fire, and their order, are those of
+the plain nested loop.
 
 Each trigger allocates one fresh null per existential variable, evaluates
 function terms over bound constants, and emits its head atoms.  Output facts
-with identical value vectors in one relation are merged; their annotations are
-summed in the requested provenance mode (each trigger contributes the product
-of the body facts it matched).
+with identical value vectors in one relation are merged.  Their annotations
+are summed once per fact, after all triggers ran, in the requested provenance
+mode; each trigger contributes the product of the body facts it matched.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 from .errors import ChaseError, SchemaMismatch
@@ -28,10 +35,10 @@ from .model import (
     TupleId,
     Value,
     constant_order_key,
+    fact_sort_key,
     relation_tag,
     schemas_equal,
     seed_allocators,
-    value_sort_key,
 )
 from .provenance import Polynomial, ProvenanceStore, check_mode, poly_add
 from .tgds import Atom, Comparison, SchemaMapping, StTgd, Term, Variable
@@ -39,23 +46,26 @@ from .tgds import Atom, Comparison, SchemaMapping, StTgd, Term, Variable
 Bindings = dict[str, Value]
 
 
+def sorted_facts(instance: Instance, relation: str) -> list[Fact]:
+    """One relation's facts in canonical order: value vector, then tuple id."""
+    return sorted(instance.facts(relation), key=fact_sort_key)
+
+
 def _sorted_facts(instance: Instance) -> dict[str, list[Fact]]:
-    return {
-        rel: sorted(
-            instance.facts(rel),
-            key=lambda f: (tuple(value_sort_key(v) for v in f.values),
-                           f.id.sort_key()),
-        )
-        for rel in instance.schema.names()
-    }
+    return {rel: sorted_facts(instance, rel) for rel in instance.schema.names()}
 
 
 def _unify_atom(atom: Atom, fact: Fact, bindings: Bindings) -> Bindings | None:
-    out = dict(bindings)
+    """Extend ``bindings`` so that ``atom`` maps onto ``fact``, or None.  The
+    dict is copied only when the atom binds a new variable, so a caller must
+    not mutate what it gets back."""
+    out = bindings
     for term, value in zip(atom.terms, fact.values):
         if isinstance(term, Variable):
             bound = out.get(term.name)
             if bound is None:
+                if out is bindings:
+                    out = dict(bindings)
                 out[term.name] = value
             elif bound != value:
                 return None
@@ -67,19 +77,92 @@ def _unify_atom(atom: Atom, fact: Fact, bindings: Bindings) -> Bindings | None:
     return out
 
 
+@dataclass(frozen=True)
+class _AtomKey:
+    """The positions of one body atom that earlier atoms fix, and the
+    variables whose bindings supply the values there.  ``strict`` holds the
+    positions fixed only through an ``=`` condition: a null there can never
+    satisfy the condition, so facts with one are left out of the index."""
+
+    positions: tuple[int, ...]
+    sources: tuple[str, ...]
+    strict: tuple[int, ...]
+
+
+@lru_cache(maxsize=1024)
+def _join_plan(tgd: StTgd) -> tuple[_AtomKey, ...]:
+    """Per body atom, the key it is looked up by once the atoms before it
+    are matched; the first atom is scanned."""
+    equal: dict[str, list[str]] = {}
+    for cond in tgd.conditions:
+        if (cond.op == "=" and isinstance(cond.left, Variable)
+                and isinstance(cond.right, Variable)):
+            equal.setdefault(cond.left.name, []).append(cond.right.name)
+            equal.setdefault(cond.right.name, []).append(cond.left.name)
+    plan = []
+    bound: set[str] = set()
+    for atom in tgd.body:
+        positions: list[int] = []
+        sources: list[str] = []
+        strict: list[int] = []
+        keyed: set[str] = set()
+        for pos, term in enumerate(atom.terms):
+            if not isinstance(term, Variable) or term.name in keyed:
+                continue
+            if term.name in bound:
+                source = term.name
+            else:
+                source = next((v for v in equal.get(term.name, ())
+                               if v in bound), None)
+                if source is None:
+                    continue
+                strict.append(pos)
+            keyed.add(term.name)
+            positions.append(pos)
+            sources.append(source)
+        plan.append(_AtomKey(tuple(positions), tuple(sources), tuple(strict)))
+        bound.update(t.name for t in atom.terms if isinstance(t, Variable))
+    return tuple(plan)
+
+
+def _index(facts: Sequence[Fact], key: _AtomKey) -> dict[tuple, list[Fact]]:
+    buckets: dict[tuple, list[Fact]] = {}
+    for fact in facts:
+        values = fact.values
+        if any(isinstance(values[p], Null) for p in key.strict):
+            continue
+        buckets.setdefault(tuple(values[p] for p in key.positions), []).append(fact)
+    return buckets
+
+
 def iter_body_matches(
     tgd: StTgd, facts: Mapping[str, Sequence[Fact]]
 ) -> Iterator[tuple[Bindings, tuple[Fact, ...]]]:
-    """All homomorphic body matches, in deterministic order, conditions not
-    yet applied."""
+    """Body matches in deterministic order: the nested loop over the body
+    atoms, left to right, each over its facts in the given order.
+
+    Every atom after the first is looked up in a hash index on the positions
+    that earlier atoms fix, through a shared variable or an ``=`` condition
+    between variables.  Buckets keep the given fact order, so the matches
+    come out in nested-loop order, less those an ``=`` condition between
+    atoms rules out.  Other conditions are not applied: the caller still
+    runs ``conditions_hold`` on every match."""
+    plan = _join_plan(tgd)
+    pools = []
+    for atom, key in zip(tgd.body, plan):
+        relation_facts = facts.get(atom.relation, ())
+        pools.append(_index(relation_facts, key) if key.positions
+                     else relation_facts)
 
     def recurse(i: int, bindings: Bindings,
                 used: tuple[Fact, ...]) -> Iterator[tuple[Bindings, tuple[Fact, ...]]]:
         if i == len(tgd.body):
             yield bindings, used
             return
-        atom = tgd.body[i]
-        for fact in facts.get(atom.relation, ()):
+        atom, key, pool = tgd.body[i], plan[i], pools[i]
+        if key.positions:
+            pool = pool.get(tuple(bindings[v] for v in key.sources), ())
+        for fact in pool:
             nxt = _unify_atom(atom, fact, bindings)
             if nxt is not None:
                 yield from recurse(i + 1, nxt, used + (fact,))
@@ -137,14 +220,16 @@ def evaluate_term(term: Term, bindings: Bindings,
 
 
 class _OutputRelation:
-    """Accumulates one relation's chase output, merging equal value vectors."""
+    """Accumulates one relation's chase output, merging equal value vectors;
+    ``derivations`` holds, per output fact, the body facts of each trigger
+    that produced it."""
 
     def __init__(self, tag: str, ids: IdAllocator):
         self.tag = tag
         self.ids = ids
         self.order: list[tuple[Value, ...]] = []
         self.by_vector: dict[tuple[Value, ...], TupleId] = {}
-        self.annotations: dict[TupleId, object] = {}
+        self.derivations: dict[TupleId, list[tuple[Fact, ...]]] = {}
 
     def facts(self) -> list[Fact]:
         return [Fact(self.by_vector[vec], vec) for vec in self.order]
@@ -200,11 +285,6 @@ def chase(
         rel.name: _OutputRelation(relation_tag(rel.name), ids)
         for rel in mapping.target.relations
     }
-    # fact -> relation name, for where-annotations
-    rel_of: dict[TupleId, str] = {}
-    for rel, flist in facts.items():
-        for f in flist:
-            rel_of[f.id] = rel
 
     for tgd in mapping.sigma:
         existential = tgd.existential_order()
@@ -223,47 +303,41 @@ def chase(
                     continue
                 emitted.add((atom.relation, vector))
                 _add_output(outputs[atom.relation], vector, provenance_mode,
-                            used, rel_of)
+                            used)
 
     result = Instance(
         mapping.target, {name: out.facts() for name, out in outputs.items()}
     )
+    rel_of = ({f.id: rel for rel, flist in facts.items() for f in flist}
+              if provenance_mode == "where" else {})
     annotations: dict[TupleId, object] = {}
     for out in outputs.values():
-        annotations.update(out.annotations)
+        for tid, derivations in out.derivations.items():
+            annotations[tid] = _annotation(provenance_mode, derivations, rel_of)
     return result, ProvenanceStore(provenance_mode, annotations)
 
 
 def _add_output(out: _OutputRelation, vector: tuple[Value, ...], mode: str,
-                witness: tuple[Fact, ...], rel_of: dict[TupleId, str]) -> None:
+                witness: tuple[Fact, ...]) -> None:
     tid = out.by_vector.get(vector)
     if tid is None:
         tid = out.ids.fresh(out.tag)
         out.by_vector[vector] = tid
         out.order.append(vector)
-    if mode == "none":
-        return
+    if mode != "none":
+        out.derivations.setdefault(tid, []).append(witness)
+
+
+def _annotation(mode: str, derivations: list[tuple[Fact, ...]],
+                rel_of: dict[TupleId, str]):
+    """Sum a fact's derivations once, in the store's mode; each derivation
+    is the product of the body facts its trigger matched."""
     if mode == "how":
-        contribution = Polynomial.of(*(f.id for f in witness))
-        prev = out.annotations.get(tid, Polynomial.zero())
-        out.annotations[tid] = poly_add(prev, contribution)
-    elif mode == "why":
-        prev = out.annotations.get(tid, frozenset())
-        out.annotations[tid] = prev | frozenset({frozenset(f.id for f in witness)})
-    elif mode == "where":
-        prev = out.annotations.get(tid, frozenset())
-        out.annotations[tid] = prev | frozenset(rel_of[f.id] for f in witness)
-
-
-def count_body_matches(instance: Instance, mapping: SchemaMapping) -> int:
-    """Upper bound on the chase output size: total number of body matches."""
-    facts = _sorted_facts(instance)
-    total = 0
-    for tgd in mapping.sigma:
-        for bindings, _ in iter_body_matches(tgd, facts):
-            if conditions_hold(tgd.conditions, bindings):
-                total += 1
-    return total
+        return poly_add(*(Polynomial.of(*(f.id for f in witness))
+                          for witness in derivations))
+    if mode == "why":
+        return frozenset(frozenset(f.id for f in witness) for witness in derivations)
+    return frozenset(rel_of[f.id] for witness in derivations for f in witness)
 
 
 def matched_source_ids(instance: Instance, mapping: SchemaMapping) -> frozenset[TupleId]:

@@ -14,6 +14,7 @@ arithmetic such as ``1.7 + 3.3 = 5.0`` is bit-stable.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -335,7 +336,8 @@ def seed_allocators(*instances: Instance) -> tuple[NullAllocator, IdAllocator]:
 # normalization and equality
 
 
-def _fact_key(fact: Fact) -> tuple:
+def fact_sort_key(fact: Fact) -> tuple:
+    """Canonical fact order: value vector, then tuple id."""
     return (tuple(value_sort_key(v) for v in fact.values), fact.id.sort_key())
 
 
@@ -343,7 +345,7 @@ def _normal_pass(instance: Instance) -> Instance:
     relabel: dict[int, int] = {}
     ordered: list[tuple[RelationSchema, list[Fact]]] = []
     for rel in sorted(instance.schema.relations, key=lambda r: r.name):
-        facts = sorted(instance.facts(rel.name), key=_fact_key)
+        facts = sorted(instance.facts(rel.name), key=fact_sort_key)
         for fact in facts:
             for v in fact.values:
                 if isinstance(v, Null) and v.label not in relabel:
@@ -411,8 +413,21 @@ def instances_equal(a: Instance, b: Instance) -> bool:
     """True iff the normalized instances carry identical value-vector
     multisets per relation.  Tuple ids are ignored; null labels are compared
     after each side's independent canonical renumbering, so ground instances
-    compare literally and null-bearing instances compare up to relabeling."""
+    compare literally and null-bearing instances compare up to relabeling.
+
+    Ground instances are compared as per-relation multisets without
+    normalizing, and a ground instance never equals one with nulls, since
+    renumbering keeps every null a null."""
     require_same_schema(a, b)
+    a_nulls, b_nulls = a.has_nulls(), b.has_nulls()
+    if a_nulls != b_nulls:
+        return False
+    if not a_nulls:
+        return all(
+            Counter(f.values for f in a.facts(rel))
+            == Counter(f.values for f in b.facts(rel))
+            for rel in a.schema.names()
+        )
     na, nb = normalize(a), normalize(b)
     for rel in na.schema.names():
         va = [f.values for f in na.facts(rel)]

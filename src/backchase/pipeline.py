@@ -43,6 +43,7 @@ from .chase import (
     expand_duplicates,
     iter_body_matches,
     matched_source_ids,
+    sorted_facts,
 )
 from .errors import ValidationError
 from .functions import FunctionRegistry, default_registry
@@ -55,7 +56,6 @@ from .model import (
     Value,
     relation_tag,
     seed_allocators,
-    value_sort_key,
 )
 from .provenance import (
     ProvenanceStore,
@@ -156,14 +156,6 @@ def _attach_store(j: Instance, step: EvolutionStep) -> ProvenanceStore:
     return ProvenanceStore(step.store.mode, annotations)
 
 
-def _sorted_rel_facts(instance: Instance, rel: str) -> list[Fact]:
-    return sorted(
-        instance.facts(rel),
-        key=lambda f: (tuple(value_sort_key(v) for v in f.values),
-                       f.id.sort_key()),
-    )
-
-
 def _run_lookups(
     plan: InversePlan,
     j: Instance,
@@ -181,7 +173,7 @@ def _run_lookups(
             continue
         refs = {row.ref: row for row in table.rows}
         body_atom = rule.tgd.body[0]
-        for fact in _sorted_rel_facts(j, body_atom.relation):
+        for fact in sorted_facts(j, body_atom.relation):
             matches = list(iter_body_matches(
                 rule.tgd, {body_atom.relation: [fact]}
             ))

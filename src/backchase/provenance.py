@@ -74,8 +74,9 @@ class Polynomial:
         return frozenset(t for m, _ in self.terms for t in m)
 
 
-def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
-    return Polynomial.build(list(a.terms) + list(b.terms))
+def poly_add(*ps: Polynomial) -> Polynomial:
+    """Sum any number of polynomials, canonicalizing once."""
+    return Polynomial.build(term for p in ps for term in p.terms)
 
 
 def poly_mul(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -140,10 +141,6 @@ def to_witness_basis(p: Polynomial) -> WitnessBasis:
     return frozenset(frozenset(m) for m, _ in p.terms)
 
 
-def merge_bases(a: WitnessBasis, b: WitnessBasis) -> WitnessBasis:
-    return a | b
-
-
 def basis_to_json(basis: WitnessBasis) -> list[list[str]]:
     return sorted(
         [sorted((str(t) for t in w), key=lambda s: TupleId.parse(s).sort_key())
@@ -174,9 +171,6 @@ class ProvenanceStore:
     @classmethod
     def empty(cls, mode: str) -> "ProvenanceStore":
         return cls(mode, {})
-
-    def annotation(self, tid: TupleId):
-        return self.annotations.get(tid)
 
     def witnesses(self, tid: TupleId) -> WitnessBasis | None:
         """Witness basis for a fact, derivable in why and how modes."""
@@ -270,12 +264,6 @@ class SideTable:
     name: str
     attributes: tuple[str, ...]
     rows: tuple[SideRow, ...]
-
-    def lookup(self, ref: TupleId) -> SideRow | None:
-        for row in self.rows:
-            if row.ref == ref:
-                return row
-        return None
 
 
 def build_side_table(source: Instance, spec: SideTableSpec,

@@ -128,13 +128,30 @@ def save_run(run: EvolutionRun, out_dir: Path) -> None:
 
 
 def load_run(run_dir: Path) -> EvolutionRun:
-    manifest = read_json(run_dir / "run.json")
-    script = script_from_json(manifest["script"])
-    initial = load_instance(run_dir / manifest["initial"])
+    path = run_dir / "run.json"
+    manifest = read_json(path)
+    try:
+        mode = manifest["provenance_mode"]
+        initial_name = manifest["initial"]
+        step_dirs = [entry["dir"] for entry in manifest["steps"]]
+        script_obj = manifest["script"]
+    except (TypeError, KeyError):
+        raise ValidationError(
+            f"{path} is not a run manifest: expected an object with "
+            f"'provenance_mode', 'script', 'initial' and a 'steps' list of "
+            f"objects with 'dir'"
+        ) from None
+    if not all(isinstance(v, str) for v in [mode, initial_name, *step_dirs]):
+        raise ValidationError(
+            f"{path}: 'provenance_mode', 'initial' and each step's 'dir' "
+            f"must be strings"
+        )
+    script = script_from_json(script_obj)
+    initial = load_instance(run_dir / initial_name)
     steps: list[EvolutionStep] = []
     current = initial
-    for i, (smo, entry) in enumerate(zip(script, manifest["steps"])):
-        step_dir = run_dir / entry["dir"]
+    for i, (smo, step_name) in enumerate(zip(script, step_dirs)):
+        step_dir = run_dir / step_name
         source = load_instance(step_dir / "source.json")
         target = load_instance(step_dir / "target.json")
         store = store_from_json(read_json(step_dir / "store.json"))
@@ -146,7 +163,7 @@ def load_run(run_dir: Path) -> EvolutionRun:
         steps.append(EvolutionStep(i, smo, mapping, source, target, store, tables))
         current = target
     return EvolutionRun(
-        manifest["provenance_mode"],
+        mode,
         bool(manifest.get("side_tables_enabled")),
         script,
         initial,

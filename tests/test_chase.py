@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -11,6 +12,7 @@ from backchase import (
     Schema,
     SchemaMapping,
     SchemaMismatch,
+    SmoSpec,
     TupleId,
     chase,
     compile_forward,
@@ -21,10 +23,18 @@ from backchase import (
     instance_to_json,
     normalize,
     parse_tgd,
+    null,
 )
-from backchase.chase import count_body_matches
-from backchase.provenance import store_to_json
-from support import inst, naive_trigger_matches, random_ground_instance, vectors_of
+from backchase.chase import conditions_hold, iter_body_matches, sorted_facts
+from backchase.provenance import Polynomial, store_to_json
+from support import (
+    COPY_COL_PARAMS,
+    JOIN_PARAMS,
+    inst,
+    naive_trigger_matches,
+    random_ground_instance,
+    vectors_of,
+)
 
 
 def join_mapping():
@@ -100,7 +110,7 @@ def test_output_bounded_by_trigger_count():
     src = join_instance()
     mapping = join_mapping()
     out, _ = chase(src, mapping, "none")
-    assert out.size() <= count_body_matches(src, mapping)
+    assert out.size() <= len(list(naive_trigger_matches(src, mapping)))
 
 
 def test_eval_at_one_counts_derivations(join_case):
@@ -171,7 +181,6 @@ def test_condition_with_null_is_nonmatching():
     target = Schema.of(RelationSchema("T", ("x",)))
     mapping = SchemaMapping(source, target,
                             (parse_tgd("R(a, b) AND b = '1' -> T(a)"),))
-    from backchase import null
     src = Instance(source, {"R": [Fact(TupleId("r", 1), (const("x"), null(1)))]})
     out, _ = chase(src, mapping, "none")
     assert out.size() == 0
@@ -182,7 +191,6 @@ def test_function_over_null_raises():
     target = Schema.of(RelationSchema("T", ("x",)))
     mapping = SchemaMapping(source, target,
                             (parse_tgd("R(a, b) -> T(dec_add(a, b))"),))
-    from backchase import null
     src = Instance(source, {"R": [Fact(TupleId("r", 1), (const("1"), null(1)))]})
     with pytest.raises(ChaseError):
         chase(src, mapping, "none")
@@ -213,6 +221,114 @@ def test_self_join_coefficients():
     (fact,) = out.facts("T")
     assert format_polynomial(store.annotations[fact.id]) == \
         "r1*r1 + 2*r1*r2 + r2*r2"
+
+
+# ---------------------------------------------------------------------------
+# indexed body matching against the nested-loop oracle
+
+PAIR = Schema.of(RelationSchema("R", ("id", "name")),
+                 RelationSchema("V", ("name", "subject")))
+
+# JOIN_TABLE and COPY_COLUMN v2 join through an `=` condition, COPY_COLUMN
+# v1 through a shared variable
+JOIN_SPECS = {
+    "JOIN_TABLE": SmoSpec("JOIN_TABLE", JOIN_PARAMS),
+    "COPY_COLUMN v1": SmoSpec("COPY_COLUMN", COPY_COL_PARAMS),
+    "COPY_COLUMN v2": SmoSpec("COPY_COLUMN", COPY_COL_PARAMS, variant=2),
+}
+
+
+def pair_with_nulls(rng, canonical=False):
+    """R(id, name) and V(name, subject) over a small pool in which nulls 1
+    and 2 can stand on both sides of the join column; value vectors may
+    repeat under distinct ids."""
+    names = [const(x) for x in "abc"] + [null(1), null(2)]
+    subjects = [const(x) for x in ("Math", "IT")] + [null(3)]
+    rows = {
+        "R": [(const(str(rng.randint(1, 4))), rng.choice(names))
+              for _ in range(rng.randint(0, 7))],
+        "V": [(rng.choice(names), rng.choice(subjects))
+              for _ in range(rng.randint(0, 7))],
+    }
+    instance = Instance(PAIR, {
+        rel: [Fact(TupleId(rel.lower(), i + 1), vec) for i, vec in enumerate(vecs)]
+        for rel, vecs in rows.items()})
+    if canonical:
+        instance = Instance(PAIR, {rel: sorted_facts(instance, rel)
+                                   for rel in PAIR.names()})
+    return instance
+
+
+def engine_triggers(instance, mapping):
+    facts = {rel: sorted_facts(instance, rel) for rel in instance.schema.names()}
+    return [(tgd, tuple(f.id for f in used))
+            for tgd in mapping.sigma
+            for bindings, used in iter_body_matches(tgd, facts)
+            if conditions_hold(tgd.conditions, bindings)]
+
+
+def naive_triggers(instance, mapping):
+    return [(tgd, tuple(f.id for f in combo))
+            for tgd, _, combo in naive_trigger_matches(instance, mapping)]
+
+
+@pytest.mark.parametrize("label", sorted(JOIN_SPECS))
+def test_indexed_triggers_equal_nested_loop(label):
+    mapping = compile_forward(JOIN_SPECS[label], PAIR)
+    rng = random.Random(17)
+    for _ in range(150):
+        instance = pair_with_nulls(rng)
+        assert Counter(engine_triggers(instance, mapping)) == \
+            Counter(naive_triggers(instance, mapping))
+        # with facts laid out in canonical order the plain nested loop
+        # enumerates in the engine's order, so the sequences agree too
+        canonical = pair_with_nulls(rng, canonical=True)
+        assert engine_triggers(canonical, mapping) == \
+            naive_triggers(canonical, mapping)
+
+
+@pytest.mark.parametrize("label, fires", [
+    ("COPY_COLUMN v1", True), ("COPY_COLUMN v2", False), ("JOIN_TABLE", False)])
+def test_shared_null_label_joins_only_through_a_shared_variable(label, fires):
+    # a shared variable unifies equal null labels; `=` is false on nulls
+    instance = Instance(PAIR, {
+        "R": [Fact(TupleId("r", 1), (const("1"), null(7)))],
+        "V": [Fact(TupleId("v", 1), (null(7), const("Math")))]})
+    mapping = compile_forward(JOIN_SPECS[label], PAIR)
+    join = mapping.sigma[0]
+    expected = [(join, (TupleId("r", 1), TupleId("v", 1)))] if fires else []
+    joined = [t for t in engine_triggers(instance, mapping) if t[0] == join]
+    assert joined == expected
+    assert [t for t in naive_triggers(instance, mapping) if t[0] == join] == expected
+
+
+def reference_how(instance, mapping):
+    """Per output vector, the left fold of pairwise canonicalizing sums of
+    the naive triggers' monomials."""
+    acc = {}
+    for tgd, bindings, combo in naive_trigger_matches(instance, mapping):
+        emitted = set()
+        for atom in tgd.head:
+            key = (atom.relation, tuple(bindings[t.name] for t in atom.terms))
+            if key in emitted:
+                continue
+            emitted.add(key)
+            prev = acc.get(key, Polynomial.zero())
+            acc[key] = Polynomial.build(
+                list(prev.terms) + [(tuple(f.id for f in combo), 1)])
+    return acc
+
+
+@pytest.mark.parametrize("label", sorted(JOIN_SPECS))
+def test_how_polynomials_equal_pairwise_fold(label):
+    mapping = compile_forward(JOIN_SPECS[label], PAIR)
+    rng = random.Random(29)
+    for _ in range(100):
+        instance = pair_with_nulls(rng)
+        out, store = chase(instance, mapping, "how")
+        got = {(rel, f.values): store.annotations[f.id]
+               for rel in out.schema.names() for f in out.facts(rel)}
+        assert got == reference_how(instance, mapping)
 
 
 # ---------------------------------------------------------------------------

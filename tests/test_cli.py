@@ -143,6 +143,36 @@ def test_directory_as_input_exits_2(tmp_path, fixtures_dir, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("variant", ["x", None, [2]])
+def test_malformed_variant_exits_2(tmp_path, fixtures_dir, capsys, variant):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"steps": [{"kind": "NOP", "variant": variant}]}))
+    code = run_cli("evolve",
+                   "--in", str(fixtures_dir / "join_dangling_source.json"),
+                   "--script", str(script), "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: variant must be 1 or 2" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("manifest", [
+    {}, [], {"provenance_mode": "how", "script": {"steps": []},
+             "initial": "initial.json", "steps": [{"kind": "NOP"}]},
+    {"provenance_mode": "how", "script": {"steps": []},
+     "initial": 5, "steps": []},
+])
+def test_malformed_run_manifest_exits_2(tmp_path, capsys, manifest):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "run.json").write_text(json.dumps(manifest))
+    code = run_cli("invert", "--run", str(run), "--out", str(tmp_path / "back.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "run.json" in err
+    assert "Traceback" not in err
+
+
 def test_catalog_lists_all_operators(capsys):
     assert run_cli("catalog") == 0
     out = capsys.readouterr().out

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from backchase import (
     Fact,
     Instance,
+    Null,
     NullAllocator,
     RelationSchema,
     Schema,
@@ -137,6 +140,80 @@ def test_instances_equal_schema_mismatch():
     b = inst(other, S=[("1", "2")])
     with pytest.raises(SchemaMismatch):
         instances_equal(a, b)
+
+
+TWO_RELATIONS = Schema.of(RelationSchema("R", ("x", "y")),
+                          RelationSchema("S", ("z",)))
+
+
+def equal_by_normalize(a, b):
+    """Equality as the comparison of normalized value lists, with no
+    shortcut for ground instances."""
+    na, nb = normalize(a), normalize(b)
+    return all([f.values for f in na.facts(rel)] == [f.values for f in nb.facts(rel)]
+               for rel in na.schema.names())
+
+
+def random_rows(rng, with_nulls):
+    pool = [const(v) for v in ("a", "b", "1")]
+    if with_nulls:
+        pool += [null(1), null(2), null(3)]
+    rows = {"R": [(rng.choice(pool), rng.choice(pool))
+                  for _ in range(rng.randint(0, 5))],
+            "S": [(rng.choice(pool),) for _ in range(rng.randint(0, 3))]}
+    if with_nulls and not any(isinstance(v, Null)
+                              for vecs in rows.values() for vec in vecs for v in vec):
+        rows["S"].append((null(1),))
+    return rows
+
+
+def variant_of(rng, rows, equal):
+    """The same multisets shuffled under a fresh null labelling, or, when
+    not ``equal``, with one row dropped, repeated or changed."""
+    shift = rng.randint(1, 50)
+    out = {rel: [tuple(null(v.label + shift) if isinstance(v, Null) else v
+                       for v in vec) for vec in vecs]
+           for rel, vecs in rows.items()}
+    for vecs in out.values():
+        rng.shuffle(vecs)
+    if not equal:
+        rel = rng.choice([r for r in out if out[r]] or ["S"])
+        vecs = out[rel]
+        change = rng.choice(["drop", "repeat", "alter"]) if vecs else "add"
+        if change == "drop":
+            vecs.pop()
+        elif change == "repeat":
+            vecs.append(vecs[0])
+        elif change == "alter":
+            vecs[0] = (const("zz"),) + vecs[0][1:]
+        else:
+            vecs.append(tuple(const("zz") for _ in TWO_RELATIONS.relation(rel).attributes))
+    return out
+
+
+def from_rows(rows):
+    return Instance(TWO_RELATIONS, {
+        rel: [Fact(TupleId(rel.lower(), i + 1), vec) for i, vec in enumerate(vecs)]
+        for rel, vecs in rows.items()})
+
+
+@pytest.mark.parametrize("nulls_a, nulls_b", [
+    (False, False), (False, True), (True, False), (True, True)])
+def test_instances_equal_matches_normalized_comparison(nulls_a, nulls_b):
+    rng = random.Random(41)
+    seen = set()
+    for i in range(200):
+        rows_a = random_rows(rng, nulls_a)
+        if nulls_a == nulls_b:
+            rows_b = variant_of(rng, rows_a, equal=i % 2 == 0)
+        else:
+            rows_b = random_rows(rng, nulls_b)
+        a, b = from_rows(rows_a), from_rows(rows_b)
+        expected = equal_by_normalize(a, b)
+        assert instances_equal(a, b) == expected
+        assert instances_equal(b, a) == expected
+        seen.add(expected)
+    assert seen == ({True, False} if nulls_a == nulls_b else {False})
 
 
 def test_duplicate_vectors_allowed_distinct_ids():
