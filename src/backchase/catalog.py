@@ -134,6 +134,16 @@ _TWO_VARIANT_KINDS = frozenset(
     {COPY_TABLE, DECOMPOSE_TABLE, ADD_COLUMN, COPY_COLUMN}
 )
 
+# Parameters naming one relation, column or function, and those naming several.
+_NAME_PARAMS = frozenset({
+    "as", "column", "copy", "function", "kept", "left", "left_column",
+    "recombine", "relation", "right", "right_column", "source", "table",
+    "target", "target_column", "to",
+})
+_NAME_LIST_PARAMS = frozenset({
+    "attributes", "columns", "functions", "target_columns", "targets",
+})
+
 
 @dataclass(frozen=True)
 class SmoSpec:
@@ -151,6 +161,16 @@ class SmoSpec:
                 f"{self.kind} has a single formalization; variant 2 is only "
                 f"defined for {sorted(_TWO_VARIANT_KINDS)}"
             )
+        for key, value in self.params.items():
+            if key in _NAME_PARAMS and not isinstance(value, str):
+                raise ValidationError(
+                    f"{self.kind} parameter {key!r} must be a name, got {value!r}")
+            if key in _NAME_LIST_PARAMS and not (
+                    isinstance(value, (list, tuple))
+                    and all(isinstance(v, str) for v in value)):
+                raise ValidationError(
+                    f"{self.kind} parameter {key!r} must be a list of names, "
+                    f"got {value!r}")
 
     def param(self, key: str, default=None, required: bool = True):
         if key in self.params:
@@ -202,8 +222,7 @@ def _attr_vars(rel: RelationSchema, offset: int = 0) -> dict[str, Variable]:
     return {attr: Variable(v) for attr, v in zip(rel.attributes, names)}
 
 
-def _identity_tgd(rel: RelationSchema, target_name: str | None = None,
-                  target_attrs: tuple[str, ...] | None = None) -> StTgd:
+def _identity_tgd(rel: RelationSchema, target_name: str | None = None) -> StTgd:
     vars_ = [Variable(v) for v in variable_names(rel.arity)]
     head_rel = target_name or rel.name
     return StTgd(
@@ -256,10 +275,6 @@ _COMPLEMENT = {"=": ("<", ">"), "<": (">=",), "<=": (">",), ">": ("<=",), ">=": 
 
 # ---------------------------------------------------------------------------
 # forward compilation
-
-
-def target_schema(smo: SmoSpec, source: Schema) -> Schema:
-    return compile_forward(smo, source).target
 
 
 def compile_forward(smo: SmoSpec, source: Schema) -> SchemaMapping:

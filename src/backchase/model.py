@@ -17,6 +17,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import SchemaMismatch, ValidationError
@@ -27,7 +28,7 @@ DECIMAL = "decimal"
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _DEC_RE = re.compile(r"[+-]?[0-9]+\.[0-9]+\Z")
-_ID_RE = re.compile(r"(?P<tag>.*?)(?P<ord>[0-9]+)\Z")
+_NUMBER_START = frozenset("+-0123456789")  # first characters of _INT_RE / _DEC_RE
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +71,21 @@ def const(lexical: str) -> Constant:
     canonicalizing (leading zeros, signs, trailing decimal zeros)."""
     if not isinstance(lexical, str):
         raise ValidationError(f"constant lexical must be a string, got {lexical!r}")
+    if not lexical or lexical[0] not in _NUMBER_START:
+        return Constant(lexical, TEXT)
     if _INT_RE.match(lexical):
-        return Constant(str(int(lexical)), INTEGER)
+        try:
+            return Constant(str(int(lexical)), INTEGER)
+        except ValueError:  # more digits than int() converts
+            raise ValidationError(
+                f"integer constant of {len(lexical)} characters is too long") from None
     if _DEC_RE.match(lexical):
         return Constant(_canon_decimal(lexical), DECIMAL)
     return Constant(lexical, TEXT)
 
 
 def null(label: int) -> Null:
-    if not isinstance(label, int) or label < 1:
+    if not isinstance(label, int) or isinstance(label, bool) or label < 1:
         raise ValidationError(f"null label must be a positive integer, got {label!r}")
     return Null(label)
 
@@ -134,10 +141,16 @@ class TupleId:
 
     @classmethod
     def parse(cls, text: str) -> "TupleId":
-        m = _ID_RE.match(text) if isinstance(text, str) else None
-        if not m or not m.group("ord"):
-            raise ValidationError(f"malformed tuple id {text!r}; expected <tag><ordinal>")
-        return cls(m.group("tag"), int(m.group("ord")))
+        """Split ``text`` into a tag and its trailing run of ASCII digits;
+        the tag may not contain a line break."""
+        if isinstance(text, str):
+            tag = text.rstrip("0123456789")
+            if len(tag) < len(text) and "\n" not in tag:
+                try:
+                    return cls(tag, int(text[len(tag):]))
+                except ValueError:  # more digits than int() converts
+                    pass
+        raise ValidationError(f"malformed tuple id {text!r}; expected <tag><ordinal>")
 
 
 class NullAllocator:
@@ -185,8 +198,10 @@ class RelationSchema:
     attributes: tuple[str, ...]
 
     def __post_init__(self):
-        if not self.name:
-            raise ValidationError("relation name must be nonempty")
+        if not (self.name and isinstance(self.name, str)):
+            raise ValidationError(f"relation name must be a nonempty string, got {self.name!r}")
+        if not all(isinstance(a, str) for a in self.attributes):
+            raise ValidationError(f"attributes of {self.name} must be strings")
         if len(set(self.attributes)) != len(self.attributes):
             raise ValidationError(f"duplicate attribute in relation {self.name}")
 
@@ -453,10 +468,7 @@ def value_from_json(obj) -> Value:
     if "const" in obj:
         return const(obj["const"])
     if "null" in obj:
-        label = obj["null"]
-        if not isinstance(label, int):
-            raise ValidationError(f"null label must be an integer, got {label!r}")
-        return null(label)
+        return null(obj["null"])
     raise ValidationError(f"malformed value {obj!r}")
 
 
@@ -476,19 +488,67 @@ def instance_to_json(instance: Instance) -> dict:
     }
 
 
+def instance_dumps(instance: Instance) -> str:
+    """The file text of an instance: exactly what ``json.dumps`` with
+    ``indent=2`` and ``ensure_ascii=False`` makes of ``instance_to_json``,
+    plus a trailing newline, written out directly.  ``json.dumps`` with an
+    indent runs its pure-Python encoder, which costs about ten times as much
+    on instance-sized documents."""
+    enc = encode_basestring
+    rel_blocks = []
+    for rel in instance.schema.relations:
+        tuple_blocks = []
+        for f in instance.facts(rel.name):
+            value_blocks = [
+                '            {\n              "const": ' + enc(v.lexical)
+                + "\n            }"
+                if type(v) is Constant else
+                '            {\n              "null": ' + int.__repr__(v.label)
+                + "\n            }"
+                for v in f.values
+            ]
+            tuple_blocks.append(
+                '        {\n          "id": ' + enc(str(f.id))
+                + ',\n          "values": '
+                + _dumps_list(value_blocks, "\n          ]")
+                + "\n        }"
+            )
+        attrs = ["        " + enc(a) for a in rel.attributes]
+        rel_blocks.append(
+            '    {\n      "name": ' + enc(rel.name)
+            + ',\n      "attributes": ' + _dumps_list(attrs, "\n      ]")
+            + ',\n      "tuples": ' + _dumps_list(tuple_blocks, "\n      ]")
+            + "\n    }"
+        )
+    return '{\n  "relations": ' + _dumps_list(rel_blocks, "\n  ]") + "\n}\n"
+
+
+def _dumps_list(items: list[str], close: str) -> str:
+    """An indented JSON array of already indented items; ``[]`` when empty,
+    as ``json.dumps`` writes it."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + close
+
+
 def instance_from_json(obj) -> Instance:
-    if not isinstance(obj, dict) or "relations" not in obj:
+    if not (isinstance(obj, dict) and isinstance(obj.get("relations"), list)):
         raise ValidationError("instance JSON must be an object with a 'relations' list")
     rels = []
     facts: dict[str, list[Fact]] = {}
     for rel_obj in obj["relations"]:
         try:
             name = rel_obj["name"]
-            attributes = tuple(rel_obj["attributes"])
+            attributes = rel_obj["attributes"]
             tuples = rel_obj.get("tuples", [])
         except (TypeError, KeyError) as exc:
             raise ValidationError(f"malformed relation entry: {rel_obj!r}") from exc
-        rels.append(RelationSchema(name, attributes))
+        if not (isinstance(attributes, list) and isinstance(tuples, list)):
+            raise ValidationError(
+                f"malformed relation entry {name!r}: expected an 'attributes' "
+                f"list and a 'tuples' list"
+            )
+        rels.append(RelationSchema(name, tuple(attributes)))
         entries = []
         for t in tuples:
             if not (isinstance(t, dict) and "id" in t

@@ -117,11 +117,15 @@ def parse_polynomial(text: str) -> Polynomial:
             if not factor:
                 raise ValidationError(f"malformed polynomial term {chunk!r}")
             if i == 0 and factor.isdigit():
-                coeff = int(factor)
+                try:
+                    coeff = int(factor)
+                except ValueError:  # a digit int() does not read, or too many
+                    raise ValidationError(
+                        f"malformed polynomial coefficient {factor!r}") from None
             else:
                 ids.append(TupleId.parse(factor))
-        terms.append((monomial(ids), coeff))
-    return Polynomial.build(terms)
+        terms.append((ids, coeff))
+    return Polynomial.build(terms)  # sorts each monomial
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +153,9 @@ def basis_to_json(basis: WitnessBasis) -> list[list[str]]:
 
 
 def basis_from_json(obj) -> WitnessBasis:
+    if not (isinstance(obj, list) and all(isinstance(w, list) for w in obj)):
+        raise ValidationError(
+            f"witness basis must be a list of lists of tuple ids, got {obj!r}")
     return witness_basis([[TupleId.parse(s) for s in w] for w in obj])
 
 
@@ -217,15 +224,27 @@ def store_to_json(store: ProvenanceStore) -> dict:
 
 
 def store_from_json(obj) -> ProvenanceStore:
+    if not isinstance(obj, dict):
+        raise ValidationError("provenance store JSON must be an object")
     mode = check_mode(obj.get("mode", "none"))
+    raw = obj.get("annotations", {})
+    if not isinstance(raw, dict):
+        raise ValidationError("store 'annotations' must be an object keyed by tuple id")
     annotations: dict[TupleId, Annotation] = {}
-    for key, value in obj.get("annotations", {}).items():
+    for key, value in raw.items():
         tid = TupleId.parse(key)
         if mode == "how":
+            if not isinstance(value, str):
+                raise ValidationError(
+                    f"how-provenance of {key} must be a polynomial string, got {value!r}")
             annotations[tid] = parse_polynomial(value)
         elif mode == "why":
             annotations[tid] = basis_from_json(value)
         elif mode == "where":
+            if not (isinstance(value, list) and all(isinstance(n, str) for n in value)):
+                raise ValidationError(
+                    f"where-provenance of {key} must be a list of relation names, "
+                    f"got {value!r}")
             annotations[tid] = frozenset(value)
     return ProvenanceStore(mode, annotations)
 
@@ -305,8 +324,15 @@ def side_table_to_json(table: SideTable) -> dict:
 
 
 def side_table_from_json(obj) -> SideTable:
+    if not (isinstance(obj, dict) and isinstance(obj.get("name"), str)
+            and isinstance(obj.get("attributes"), list)
+            and all(isinstance(a, str) for a in obj["attributes"])
+            and isinstance(obj.get("rows", []), list)):
+        raise ValidationError(
+            f"malformed side table JSON: expected an object with a "
+            f"string 'name', a list of string 'attributes' and a 'rows' list")
     try:
-        return SideTable(
+        table = SideTable(
             obj["name"],
             tuple(obj["attributes"]),
             tuple(
@@ -319,3 +345,9 @@ def side_table_from_json(obj) -> SideTable:
         )
     except (TypeError, KeyError) as exc:
         raise ValidationError(f"malformed side table JSON: {obj!r}") from exc
+    for row in table.rows:
+        if len(row.values) != len(table.attributes):
+            raise ValidationError(
+                f"side table {table.name}: row {row.ref} has {len(row.values)} "
+                f"values for {len(table.attributes)} attributes")
+    return table

@@ -11,9 +11,17 @@ from pathlib import Path
 
 from .catalog import SmoSpec, compile_forward, script_from_json, script_to_json
 from .errors import ValidationError
-from .model import Instance, RelationSchema, Schema, instance_from_json, instance_to_json
+from .model import (
+    Instance,
+    RelationSchema,
+    Schema,
+    instance_dumps,
+    instance_from_json,
+    schemas_equal,
+)
 from .pipeline import EvolutionRun, EvolutionStep
 from .provenance import (
+    check_mode,
     side_table_from_json,
     side_table_to_json,
     store_from_json,
@@ -30,23 +38,38 @@ def write_json(path: Path, data) -> None:
     path.write_text(dumps(data), encoding="utf-8")
 
 
-def read_json(path: Path):
+def read_text(path: Path) -> str:
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ValidationError(f"no such file: {path}") from None
     except IsADirectoryError:
         raise ValidationError(f"{path} is a directory, expected a JSON file") from None
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
+
+
+def parse_json(path: Path, text: str):
+    """Parse ``text``, read from ``path`` (named in the error)."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def load_instance(path: Path) -> Instance:
-    return instance_from_json(read_json(path))
+def read_json(path: Path):
+    return parse_json(path, read_text(path))
+
+
+def load_instance(path: Path, text: str | None = None) -> Instance:
+    """Read an instance file; ``text`` is its contents if already read."""
+    if text is None:
+        text = read_text(path)
+    return instance_from_json(parse_json(path, text))
 
 
 def save_instance(path: Path, instance: Instance) -> None:
-    write_json(path, instance_to_json(instance))
+    path.write_text(instance_dumps(instance), encoding="utf-8")
 
 
 def load_script(path: Path) -> list[SmoSpec]:
@@ -102,6 +125,9 @@ def load_mapping(path: Path) -> SchemaMapping:
 
 
 def save_run(run: EvolutionRun, out_dir: Path) -> None:
+    """Write a run directory.  Each step's source is the previous step's
+    target (the initial instance for step 0) and ``target.json`` is the last
+    step's target, so each distinct instance is encoded once."""
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "provenance_mode": run.provenance_mode,
@@ -111,57 +137,102 @@ def save_run(run: EvolutionRun, out_dir: Path) -> None:
         "final": "target.json",
         "steps": [],
     }
-    save_instance(out_dir / "initial.json", run.initial)
-    save_instance(out_dir / "target.json", run.final)
+    last: tuple[Instance | None, str] = (None, "")
+
+    def write_instance(path: Path, instance: Instance) -> None:
+        nonlocal last
+        if last[0] is not instance:
+            last = (instance, instance_dumps(instance))
+        path.write_text(last[1], encoding="utf-8")
+
+    write_instance(out_dir / "initial.json", run.initial)
     for step in run.steps:
         step_dir = out_dir / f"step_{step.index:02d}"
         step_dir.mkdir(exist_ok=True)
-        save_instance(step_dir / "source.json", step.source)
-        save_instance(step_dir / "target.json", step.target)
+        write_instance(step_dir / "source.json", step.source)
+        write_instance(step_dir / "target.json", step.target)
         write_json(step_dir / "store.json", store_to_json(step.store))
         write_json(
             step_dir / "side_tables.json",
             [side_table_to_json(t) for _, t in sorted(step.side_tables.items())],
         )
         manifest["steps"].append({"dir": step_dir.name, "kind": step.smo.kind})
+    write_instance(out_dir / "target.json", run.final)
     write_json(out_dir / "run.json", manifest)
 
 
 def load_run(run_dir: Path) -> EvolutionRun:
+    """Read a run directory and check that it is one run: as many step
+    directories as script steps, each step's source equal to the previous
+    step's target (the initial instance for step 0), ``target.json`` equal
+    to the last step's target, and each step's instances and store fitting
+    its operator and the run's provenance mode.
+
+    Each instance file is read once; a file whose text equals the instance
+    it must equal is not parsed again, and the already built instance is
+    shared, as ``evolve`` shares it."""
     path = run_dir / "run.json"
     manifest = read_json(path)
     try:
         mode = manifest["provenance_mode"]
         initial_name = manifest["initial"]
+        final_name = manifest["final"]
         step_dirs = [entry["dir"] for entry in manifest["steps"]]
         script_obj = manifest["script"]
     except (TypeError, KeyError):
         raise ValidationError(
             f"{path} is not a run manifest: expected an object with "
-            f"'provenance_mode', 'script', 'initial' and a 'steps' list of "
-            f"objects with 'dir'"
+            f"'provenance_mode', 'script', 'initial', 'final' and a 'steps' "
+            f"list of objects with 'dir'"
         ) from None
-    if not all(isinstance(v, str) for v in [mode, initial_name, *step_dirs]):
+    if not all(isinstance(v, str)
+               for v in [mode, initial_name, final_name, *step_dirs]):
         raise ValidationError(
-            f"{path}: 'provenance_mode', 'initial' and each step's 'dir' "
-            f"must be strings"
+            f"{path}: 'provenance_mode', 'initial', 'final' and each step's "
+            f"'dir' must be strings"
         )
+    check_mode(mode)
     script = script_from_json(script_obj)
-    initial = load_instance(run_dir / initial_name)
+    if len(step_dirs) != len(script):
+        raise ValidationError(
+            f"{path} lists {len(step_dirs)} step directories but its script "
+            f"has {len(script)} steps"
+        )
+    prev_path = run_dir / initial_name
+    prev_text = read_text(prev_path)
+    prev = initial = load_instance(prev_path, prev_text)
     steps: list[EvolutionStep] = []
-    current = initial
     for i, (smo, step_name) in enumerate(zip(script, step_dirs)):
         step_dir = run_dir / step_name
-        source = load_instance(step_dir / "source.json")
-        target = load_instance(step_dir / "target.json")
-        store = store_from_json(read_json(step_dir / "store.json"))
+        _check_repeats(step_dir / "source.json", prev_path, prev_text, prev)
+        source = prev
+        target_path = step_dir / "target.json"
+        target_text = read_text(target_path)
+        target = load_instance(target_path, target_text)
+        mapping = compile_forward(smo, source.schema)
+        if not schemas_equal(mapping.target, target.schema):
+            raise ValidationError(
+                f"{target_path}: relations {target.schema.names()} are not "
+                f"what {smo.kind} makes of its source, {mapping.target.names()}"
+            )
+        store_path = step_dir / "store.json"
+        store = store_from_json(read_json(store_path))
+        if store.mode != mode:
+            raise ValidationError(
+                f"{store_path} holds {store.mode}-provenance, the run "
+                f"records {mode}"
+            )
+        tables_path = step_dir / "side_tables.json"
+        tables_obj = read_json(tables_path)
+        if not isinstance(tables_obj, list):
+            raise ValidationError(f"{tables_path} must hold a list of side tables")
         tables = {}
-        for obj in read_json(step_dir / "side_tables.json"):
+        for obj in tables_obj:
             table = side_table_from_json(obj)
             tables[table.name] = table
-        mapping = compile_forward(smo, source.schema)
         steps.append(EvolutionStep(i, smo, mapping, source, target, store, tables))
-        current = target
+        prev_path, prev_text, prev = target_path, target_text, target
+    _check_repeats(run_dir / final_name, prev_path, prev_text, prev)
     return EvolutionRun(
         mode,
         bool(manifest.get("side_tables_enabled")),
@@ -169,3 +240,15 @@ def load_run(run_dir: Path) -> EvolutionRun:
         initial,
         steps,
     )
+
+
+def _check_repeats(path: Path, original_path: Path, original_text: str,
+                   original: Instance) -> None:
+    """Check that the instance file at ``path`` holds ``original``, read
+    from ``original_path`` as ``original_text``.  The file is parsed only
+    when its text differs."""
+    text = read_text(path)
+    if text != original_text and load_instance(path, text) != original:
+        raise ValidationError(
+            f"run directory does not chain: {path} differs from {original_path}"
+        )

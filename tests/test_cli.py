@@ -1,12 +1,18 @@
 import json
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from backchase import storage
 from backchase.cli import main
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def run_cli(*argv) -> int:
@@ -133,6 +139,23 @@ def test_malformed_tuple_exits_2(tmp_path, fixtures_dir, capsys, tuple_obj):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("content, fragment", [
+    (b'{"relations": [{"name": "R", "attributes": ["a"], "tuples": [{"id": "r1", '
+     b'"values": [{"const": "' + b"7" * 5000 + b'"}]}]}]}', "too long"),
+    (b'{"relations": [' + b"7" * 5000 + b"]}", "is not valid JSON"),
+    (b'{"relations": []}\xff', "is not UTF-8"),
+], ids=["long-integer-constant", "long-json-integer", "not-utf8"])
+def test_unreadable_instance_exits_2(tmp_path, fixtures_dir, capsys, content, fragment):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code = run_cli("evolve", "--in", str(bad),
+                   "--script", str(fixtures_dir / "join_dangling_script.json"),
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert fragment in err and "Traceback" not in err
+
+
 def test_directory_as_input_exits_2(tmp_path, fixtures_dir, capsys):
     code = run_cli("roundtrip", "--in", str(tmp_path),
                    "--script", str(fixtures_dir / "join_dangling_script.json"),
@@ -215,3 +238,196 @@ def test_invert_with_restriction(tmp_path, fixtures_dir, capsys):
     assert [tuple(v.lexical for v in f.values) for f in part.facts("V")] == [
         ("Alice", "Math")
     ]
+
+
+# ---------------------------------------------------------------------------
+# run-directory integrity
+
+TWO_STEP_SCRIPT = {"steps": [
+    {"kind": "JOIN_TABLE", "left": "R", "right": "V", "left_column": "name",
+     "right_column": "name", "target": "T"},
+    {"kind": "DROP_COLUMN", "relation": "T", "column": "subject"},
+]}
+
+
+def evolve_two_steps(tmp_path, fixtures_dir) -> Path:
+    """A how + side-table run of a join followed by a column drop."""
+    script = tmp_path / "two_steps.json"
+    script.write_text(json.dumps(TWO_STEP_SCRIPT))
+    out = tmp_path / "run"
+    assert run_cli("evolve",
+                   "--in", str(fixtures_dir / "join_dangling_source.json"),
+                   "--script", str(script), "--provenance", "how",
+                   "--side-tables", "--out", str(out)) == 0
+    return out
+
+
+def invert_exit(run: Path, tmp_path) -> int:
+    return run_cli("invert", "--run", str(run), "--out", str(tmp_path / "back.json"))
+
+
+def test_two_step_run_inverts(tmp_path, fixtures_dir, capsys):
+    run = evolve_two_steps(tmp_path, fixtures_dir)
+    assert invert_exit(run, tmp_path) == 0
+
+
+def test_reformatted_run_files_still_load(tmp_path, fixtures_dir, capsys):
+    # equal instances written differently are accepted: texts are compared
+    # first, parsed instances only when the texts differ
+    run = evolve_two_steps(tmp_path, fixtures_dir)
+    for name in ("initial.json", "step_00/source.json", "step_01/source.json",
+                 "target.json"):
+        path = run / name
+        path.write_text(json.dumps(json.loads(path.read_text())))
+    assert invert_exit(run, tmp_path) == 0
+    again = storage.load_run(run)
+    assert again.steps[0].source is again.initial
+    assert again.steps[1].source is again.steps[0].target
+
+
+def assert_rejected(run: Path, tmp_path, capsys, *fragments: str) -> None:
+    assert invert_exit(run, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_manifest_with_extra_step_exits_2(tmp_path, fixtures_dir, capsys):
+    run = evolve_two_steps(tmp_path, fixtures_dir)
+    manifest = json.loads((run / "run.json").read_text())
+    manifest["steps"].append({"dir": "step_01", "kind": "DROP_COLUMN"})
+    (run / "run.json").write_text(json.dumps(manifest))
+    assert_rejected(run, tmp_path, capsys, "3 step directories", "2 steps")
+
+
+def test_step_source_not_previous_target_exits_2(tmp_path, fixtures_dir, capsys):
+    run = evolve_two_steps(tmp_path, fixtures_dir)
+    target = json.loads((run / "step_00" / "target.json").read_text())
+    target["relations"][0]["tuples"].pop()
+    (run / "step_01" / "source.json").write_text(json.dumps(target))
+    assert_rejected(run, tmp_path, capsys, "does not chain",
+                    str(Path("step_01") / "source.json"),
+                    str(Path("step_00") / "target.json"))
+
+
+def test_final_target_not_last_step_target_exits_2(tmp_path, fixtures_dir, capsys):
+    run = evolve_two_steps(tmp_path, fixtures_dir)
+    (run / "target.json").write_text((run / "step_00" / "target.json").read_text())
+    assert_rejected(run, tmp_path, capsys, "does not chain", "target.json")
+
+
+def test_final_target_not_made_by_last_step_exits_2(tmp_path, fixtures_dir, capsys):
+    # the last target and target.json agree, but not with the operator
+    run = evolve_two_steps(tmp_path, fixtures_dir)
+    final = json.loads((run / "target.json").read_text())
+    final["relations"][0]["attributes"][1] = "label"
+    for name in ("step_01/target.json", "target.json"):
+        (run / name).write_text(json.dumps(final))
+    assert_rejected(run, tmp_path, capsys, "are not what DROP_COLUMN makes")
+
+
+@pytest.mark.parametrize("store, fragment", [
+    ([], "must be an object"),
+    ({"mode": "how", "annotations": []}, "'annotations' must be an object"),
+    ({"mode": "how", "annotations": {"t1": 5}}, "polynomial string"),
+    ({"mode": "how", "annotations": {"t1": "\u00b2*r1"}}, "polynomial coefficient"),
+    ({"mode": "how", "annotations": {"t1": "9" * 5000 + "*r1"}}, "polynomial coefficient"),
+    ({"mode": "why", "annotations": {}}, "holds why-provenance, the run records how"),
+])
+def test_malformed_store_exits_2(tmp_path, fixtures_dir, capsys, store, fragment):
+    run = evolve_two_steps(tmp_path, fixtures_dir)
+    (run / "step_00" / "store.json").write_text(json.dumps(store))
+    assert_rejected(run, tmp_path, capsys, fragment)
+
+
+def test_boolean_null_label_exits_2(tmp_path, fixtures_dir, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"relations": [
+        {"name": "R", "attributes": ["a"],
+         "tuples": [{"id": "r1", "values": [{"null": True}]}]}]}))
+    code = run_cli("evolve", "--in", str(bad),
+                   "--script", str(fixtures_dir / "join_dangling_script.json"),
+                   "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "null label must be a positive integer" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# fuzzing tampered run directories
+
+RUN_FILES = ("run.json", "initial.json", "target.json",
+             "step_00/source.json", "step_00/target.json", "step_00/store.json",
+             "step_00/side_tables.json", "step_01/source.json",
+             "step_01/target.json", "step_01/store.json", "step_01/side_tables.json")
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(["", "r1", "t2", "1", "0*t1", "how", "why", "where", "R",
+                       "T", "name", "step_00", "xé\"\\"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["relations", "name", "attributes",
+                                       "tuples", "id", "values", "const", "null",
+                                       "mode", "annotations", "rows", "ref",
+                                       "steps", "dir", "script", "t1"]),
+                      inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(obj, prefix=()):
+    """Every position in a JSON document, the root included."""
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def tampered_files(draw, originals: dict[str, str]):
+    """One run file and replacement text for it: another run file, a piece
+    of arbitrary JSON, text that is not JSON, or the original with one
+    position replaced by arbitrary JSON or removed."""
+    name = draw(st.sampled_from(RUN_FILES))
+    how = draw(st.sampled_from(["swap", "json", "garbage", "replace", "remove"]))
+    if how == "swap":
+        return name, originals[draw(st.sampled_from(RUN_FILES))]
+    if how == "json":
+        return name, json.dumps(draw(json_values))
+    if how == "garbage":
+        return name, draw(st.sampled_from(["", "{", "[1,", "\x00", "null x"]))
+    doc = json.loads(originals[name])
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return name, json.dumps(draw(json_values))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if how == "remove":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(json_values)
+    return name, json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def saved_two_step_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("fuzz")
+    run = evolve_two_steps(base, FIXTURES)
+    return run, {name: (run / name).read_text() for name in RUN_FILES}
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_tampered_run_directory_never_raises(saved_two_step_run, capsys, data):
+    run, originals = saved_two_step_run
+    name, text = data.draw(tampered_files(originals))
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "run"
+        shutil.copytree(run, copy)
+        (copy / name).write_text(text, encoding="utf-8")
+        code = run_cli("invert", "--run", str(copy), "--out", str(Path(tmp) / "back.json"))
+    assert code in (0, 2, 3)
+    capsys.readouterr()
