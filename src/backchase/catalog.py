@@ -143,6 +143,40 @@ _NAME_PARAMS = frozenset({
 _NAME_LIST_PARAMS = frozenset({
     "attributes", "columns", "functions", "target_columns", "targets",
 })
+# Parameters holding objects: the fields inside that name one thing, and
+# those that name several.  ``parts`` is a list of such objects, and
+# ``filler`` may also be the string "null".
+_OBJECT_PARAMS = {
+    "condition": (("attribute", "attribute2", "op"), ()),
+    "join": (("column", "source_column"), ()),
+    "filler": (("function",), ("args",)),
+    "parts": (("name",), ("attributes",)),
+}
+
+
+def _is_name_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
+
+
+def _check_object_param(kind: str, key: str, value) -> None:
+    names, name_lists = _OBJECT_PARAMS[key]
+    if key == "filler" and value == "null":
+        return
+    objs = value if key == "parts" and isinstance(value, (list, tuple)) else [value]
+    for obj in objs:
+        if not isinstance(obj, Mapping):
+            raise ValidationError(
+                f"{kind} parameter {key!r} must hold objects, got {obj!r}")
+        for field_name in names:
+            if field_name in obj and not isinstance(obj[field_name], str):
+                raise ValidationError(
+                    f"{kind} parameter {key!r}: {field_name!r} must be a name, "
+                    f"got {obj[field_name]!r}")
+        for field_name in name_lists:
+            if field_name in obj and not _is_name_list(obj[field_name]):
+                raise ValidationError(
+                    f"{kind} parameter {key!r}: {field_name!r} must be a list "
+                    f"of names, got {obj[field_name]!r}")
 
 
 @dataclass(frozen=True)
@@ -165,12 +199,12 @@ class SmoSpec:
             if key in _NAME_PARAMS and not isinstance(value, str):
                 raise ValidationError(
                     f"{self.kind} parameter {key!r} must be a name, got {value!r}")
-            if key in _NAME_LIST_PARAMS and not (
-                    isinstance(value, (list, tuple))
-                    and all(isinstance(v, str) for v in value)):
+            if key in _NAME_LIST_PARAMS and not _is_name_list(value):
                 raise ValidationError(
                     f"{self.kind} parameter {key!r} must be a list of names, "
                     f"got {value!r}")
+            if key in _OBJECT_PARAMS:
+                _check_object_param(self.kind, key, value)
 
     def param(self, key: str, default=None, required: bool = True):
         if key in self.params:

@@ -3,12 +3,19 @@
 Since every dependency reads the source schema and writes the target schema,
 one pass over all triggers terminates.  Trigger order is deterministic: tgds
 in declaration order, body matches in canonical fact order (value-vector sort,
-then tuple id), nested left to right over the body atoms.  Each body atom
-after the first is looked up in a hash index on the positions the atoms
-before it fix, through shared variables or ``=`` conditions between
-variables.  The index skips facts that cannot match but keeps canonical order
-inside each bucket, so the triggers that fire, and their order, are those of
-the plain nested loop.
+then tuple id), nested left to right over the body atoms.  Each instance sorts
+a relation into canonical order once (``Instance.sorted_facts``), however many
+chases read it.
+
+Each tgd compiles once into a cached plan (``_plan``).  Per body atom, the
+plan holds the hash-index key on the positions the atoms before it fix,
+through shared variables or ``=`` conditions between variables, and the
+positions at which the atom binds variables, checks earlier bindings and
+checks constants, less the checks the key already guarantees.  The index
+skips facts that cannot match but keeps canonical order inside each bucket,
+so the triggers that fire, and their order, are those of the plain nested
+loop.  Per head atom, the plan holds the variables that make up its vector
+when every term is a variable.
 
 Each trigger allocates one fresh null per existential variable, evaluates
 function terms over bound constants, and emits its head atoms.  Output facts
@@ -35,103 +42,133 @@ from .model import (
     TupleId,
     Value,
     constant_order_key,
-    fact_sort_key,
     relation_tag,
     schemas_equal,
     seed_allocators,
 )
 from .provenance import Polynomial, ProvenanceStore, check_mode, poly_add
-from .tgds import Atom, Comparison, SchemaMapping, StTgd, Term, Variable
+from .tgds import Comparison, SchemaMapping, StTgd, Term, Variable
 
 Bindings = dict[str, Value]
 
 
-def sorted_facts(instance: Instance, relation: str) -> list[Fact]:
+def sorted_facts(instance: Instance, relation: str) -> tuple[Fact, ...]:
     """One relation's facts in canonical order: value vector, then tuple id."""
-    return sorted(instance.facts(relation), key=fact_sort_key)
+    return instance.sorted_facts(relation)
 
 
-def _sorted_facts(instance: Instance) -> dict[str, list[Fact]]:
-    return {rel: sorted_facts(instance, rel) for rel in instance.schema.names()}
+def _sorted_facts(instance: Instance) -> dict[str, tuple[Fact, ...]]:
+    return {rel: instance.sorted_facts(rel) for rel in instance.schema.names()}
 
 
-def _unify_atom(atom: Atom, fact: Fact, bindings: Bindings) -> Bindings | None:
-    """Extend ``bindings`` so that ``atom`` maps onto ``fact``, or None.  The
-    dict is copied only when the atom binds a new variable, so a caller must
-    not mutate what it gets back."""
-    out = bindings
-    for term, value in zip(atom.terms, fact.values):
-        if isinstance(term, Variable):
-            bound = out.get(term.name)
-            if bound is None:
-                if out is bindings:
-                    out = dict(bindings)
-                out[term.name] = value
-            elif bound != value:
-                return None
-        elif isinstance(term, Constant):
-            if term != value:
-                return None
-        else:
-            raise ChaseError("function terms cannot appear in a body atom")
-    return out
+@dataclass(frozen=True, slots=True)
+class _BodyStep:
+    """How one body atom is matched once the atoms before it are.
 
+    The index key: ``positions`` are the positions earlier atoms fix and
+    ``sources`` the variables whose bindings supply the values there;
+    ``strict`` holds the positions fixed only through an ``=`` condition, where
+    a null can never satisfy the condition, so facts with one are left out
+    of the index.  A fact found under the key still has to hold
+    ``constants`` (position, constant), agree with earlier atoms at
+    ``checks`` (position, variable) and repeat itself at ``repeats``
+    (position, position of the variable's first occurrence); it then binds
+    ``binds`` (position, variable)."""
 
-@dataclass(frozen=True)
-class _AtomKey:
-    """The positions of one body atom that earlier atoms fix, and the
-    variables whose bindings supply the values there.  ``strict`` holds the
-    positions fixed only through an ``=`` condition: a null there can never
-    satisfy the condition, so facts with one are left out of the index."""
-
+    relation: str
     positions: tuple[int, ...]
     sources: tuple[str, ...]
     strict: tuple[int, ...]
+    constants: tuple[tuple[int, Constant], ...]
+    checks: tuple[tuple[int, str], ...]
+    repeats: tuple[tuple[int, int], ...]
+    binds: tuple[tuple[int, str], ...]
+
+
+@dataclass(frozen=True, slots=True)
+class _HeadStep:
+    """One head atom: ``names`` are the variables of its vector, in order,
+    when every term is a variable, else None and ``terms`` are evaluated."""
+
+    relation: str
+    tag: str
+    names: tuple[str, ...] | None
+    terms: tuple[Term, ...]
+
+
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    body: tuple[_BodyStep, ...]
+    head: tuple[_HeadStep, ...]
+    existential: tuple[str, ...]
 
 
 @lru_cache(maxsize=1024)
-def _join_plan(tgd: StTgd) -> tuple[_AtomKey, ...]:
-    """Per body atom, the key it is looked up by once the atoms before it
-    are matched; the first atom is scanned."""
+def _plan(tgd: StTgd) -> _Plan:
+    """Compile ``tgd`` into its match and fire plan; the first body atom is
+    scanned, every later one looked up by its key."""
     equal: dict[str, list[str]] = {}
     for cond in tgd.conditions:
         if (cond.op == "=" and isinstance(cond.left, Variable)
                 and isinstance(cond.right, Variable)):
             equal.setdefault(cond.left.name, []).append(cond.right.name)
             equal.setdefault(cond.right.name, []).append(cond.left.name)
-    plan = []
+    body = []
     bound: set[str] = set()
     for atom in tgd.body:
         positions: list[int] = []
         sources: list[str] = []
         strict: list[int] = []
+        constants: list[tuple[int, Constant]] = []
+        checks: list[tuple[int, str]] = []
+        repeats: list[tuple[int, int]] = []
+        binds: list[tuple[int, str]] = []
+        first: dict[str, int] = {}  # variables this atom binds -> position
         keyed: set[str] = set()
         for pos, term in enumerate(atom.terms):
-            if not isinstance(term, Variable) or term.name in keyed:
-                continue
-            if term.name in bound:
-                source = term.name
+            if isinstance(term, Constant):
+                constants.append((pos, term))
+            elif not isinstance(term, Variable):
+                raise ChaseError("function terms cannot appear in a body atom")
+            elif term.name in bound:
+                if term.name in keyed:
+                    checks.append((pos, term.name))
+                else:  # the key guarantees the value here
+                    keyed.add(term.name)
+                    positions.append(pos)
+                    sources.append(term.name)
+            elif term.name in first:
+                repeats.append((pos, first[term.name]))
             else:
-                source = next((v for v in equal.get(term.name, ())
-                               if v in bound), None)
-                if source is None:
-                    continue
-                strict.append(pos)
-            keyed.add(term.name)
-            positions.append(pos)
-            sources.append(source)
-        plan.append(_AtomKey(tuple(positions), tuple(sources), tuple(strict)))
-        bound.update(t.name for t in atom.terms if isinstance(t, Variable))
-    return tuple(plan)
+                first[term.name] = pos
+                binds.append((pos, term.name))
+                source = next((v for v in equal.get(term.name, ()) if v in bound),
+                              None)
+                if source is not None:
+                    positions.append(pos)
+                    sources.append(source)
+                    strict.append(pos)
+        body.append(_BodyStep(atom.relation, tuple(positions), tuple(sources),
+                              tuple(strict), tuple(constants), tuple(checks),
+                              tuple(repeats), tuple(binds)))
+        bound.update(first)
+    head = tuple(
+        _HeadStep(atom.relation, relation_tag(atom.relation),
+                  tuple(t.name for t in atom.terms)
+                  if all(isinstance(t, Variable) for t in atom.terms) else None,
+                  atom.terms)
+        for atom in tgd.head)
+    return _Plan(tuple(body), head, tgd.existential_order())
 
 
-def _index(facts: Sequence[Fact], key: _AtomKey) -> dict[tuple, list[Fact]]:
+def _index(facts: Sequence[Fact], step: _BodyStep) -> dict[tuple, list[Fact]]:
     buckets: dict[tuple, list[Fact]] = {}
+    positions, strict = step.positions, step.strict
     for fact in facts:
         values = fact.values
-        if any(isinstance(values[p], Null) for p in key.strict):
+        if strict and any(isinstance(values[p], Null) for p in strict):
             continue
-        buckets.setdefault(tuple(values[p] for p in key.positions), []).append(fact)
+        buckets.setdefault(tuple([values[p] for p in positions]), []).append(fact)
     return buckets
 
 
@@ -146,28 +183,52 @@ def iter_body_matches(
     between variables.  Buckets keep the given fact order, so the matches
     come out in nested-loop order, less those an ``=`` condition between
     atoms rules out.  Other conditions are not applied: the caller still
-    runs ``conditions_hold`` on every match."""
-    plan = _join_plan(tgd)
-    pools = []
-    for atom, key in zip(tgd.body, plan):
-        relation_facts = facts.get(atom.relation, ())
-        pools.append(_index(relation_facts, key) if key.positions
-                     else relation_facts)
-
-    def recurse(i: int, bindings: Bindings,
-                used: tuple[Fact, ...]) -> Iterator[tuple[Bindings, tuple[Fact, ...]]]:
-        if i == len(tgd.body):
-            yield bindings, used
-            return
-        atom, key, pool = tgd.body[i], plan[i], pools[i]
-        if key.positions:
-            pool = pool.get(tuple(bindings[v] for v in key.sources), ())
-        for fact in pool:
-            nxt = _unify_atom(atom, fact, bindings)
-            if nxt is not None:
-                yield from recurse(i + 1, nxt, used + (fact,))
-
-    yield from recurse(0, {}, ())
+    runs ``conditions_hold`` on every match.  An atom that binds no new
+    variable passes its bindings on unchanged, so a caller must not mutate
+    the dict it gets."""
+    steps = _plan(tgd).body
+    pools = [_index(facts.get(step.relation, ()), step) if step.positions
+             else facts.get(step.relation, ()) for step in steps]
+    last = len(steps) - 1
+    # Explicit stack: per depth, the facts left to try, the bindings made by
+    # the atoms before it, and the fact it matched.
+    todo = [iter(pools[0])] + [None] * last
+    bound: list[Bindings] = [{}] * (last + 1)
+    used: list[Fact] = [None] * (last + 1)
+    depth = 0
+    while depth >= 0:
+        step = steps[depth]
+        bindings = bound[depth]
+        constants, checks, repeats, binds = (
+            step.constants, step.checks, step.repeats, step.binds)
+        for fact in todo[depth]:
+            values = fact.values
+            if constants and any(values[p] != c for p, c in constants):
+                continue
+            if checks and any(values[p] != bindings[v] for p, v in checks):
+                continue
+            if repeats and any(values[p] != values[q] for p, q in repeats):
+                continue
+            if binds:
+                extended = dict(bindings)
+                for p, v in binds:
+                    extended[v] = values[p]
+            else:
+                extended = bindings
+            used[depth] = fact
+            if depth == last:
+                yield extended, tuple(used)
+                continue
+            depth += 1
+            nxt = steps[depth]
+            pool = pools[depth]
+            if nxt.positions:
+                pool = pool.get(tuple([extended[v] for v in nxt.sources]), ())
+            todo[depth] = iter(pool)
+            bound[depth] = extended
+            break
+        else:
+            depth -= 1
 
 
 def _resolve_comparable(term: Term, bindings: Bindings) -> Value:
@@ -219,22 +280,6 @@ def evaluate_term(term: Term, bindings: Bindings,
     return functions.call(term.function, args)
 
 
-class _OutputRelation:
-    """Accumulates one relation's chase output, merging equal value vectors;
-    ``derivations`` holds, per output fact, the body facts of each trigger
-    that produced it."""
-
-    def __init__(self, tag: str, ids: IdAllocator):
-        self.tag = tag
-        self.ids = ids
-        self.order: list[tuple[Value, ...]] = []
-        self.by_vector: dict[tuple[Value, ...], TupleId] = {}
-        self.derivations: dict[TupleId, list[tuple[Fact, ...]]] = {}
-
-    def facts(self) -> list[Fact]:
-        return [Fact(self.by_vector[vec], vec) for vec in self.order]
-
-
 def _validate_mapping_functions(mapping: SchemaMapping,
                                 functions: FunctionRegistry) -> None:
     for tgd in mapping.sigma:
@@ -281,51 +326,54 @@ def chase(
         ids = ids or fresh_ids
 
     facts = _sorted_facts(instance)
-    outputs = {
-        rel.name: _OutputRelation(relation_tag(rel.name), ids)
-        for rel in mapping.target.relations
-    }
+    # per target relation, output vector -> tuple id, in order of first output
+    outputs: dict[str, dict[tuple[Value, ...], TupleId]] = {
+        rel.name: {} for rel in mapping.target.relations}
+    # per output fact, the body facts of each trigger that produced it
+    derivations: dict[TupleId, list[tuple[Fact, ...]]] = {}
+    derive = provenance_mode != "none"
+    fresh_id = ids.fresh
 
     for tgd in mapping.sigma:
-        existential = tgd.existential_order()
+        plan = _plan(tgd)
+        existential, head = plan.existential, plan.head
+        distinct = len(head) > 1
         for bindings, used in iter_body_matches(tgd, facts):
             if not conditions_hold(tgd.conditions, bindings):
                 continue
-            full = dict(bindings)
-            for var in existential:
-                full[var] = nulls.fresh()
-            emitted: set[tuple[str, tuple[Value, ...]]] = set()
-            for atom in tgd.head:
-                vector = tuple(
-                    evaluate_term(t, full, functions) for t in atom.terms
-                )
-                if (atom.relation, vector) in emitted:
-                    continue
-                emitted.add((atom.relation, vector))
-                _add_output(outputs[atom.relation], vector, provenance_mode,
-                            used)
+            if existential:
+                bindings = dict(bindings)
+                for var in existential:
+                    bindings[var] = nulls.fresh()
+            if distinct:
+                emitted: set[tuple[str, tuple[Value, ...]]] = set()
+            for step in head:
+                if step.names is not None:
+                    vector = tuple([bindings[n] for n in step.names])
+                else:
+                    vector = tuple([evaluate_term(t, bindings, functions)
+                                    for t in step.terms])
+                if distinct:
+                    if (step.relation, vector) in emitted:
+                        continue
+                    emitted.add((step.relation, vector))
+                by_vector = outputs[step.relation]
+                tid = by_vector.get(vector)
+                if tid is None:
+                    tid = by_vector[vector] = fresh_id(step.tag)
+                    if derive:
+                        derivations[tid] = [used]
+                elif derive:
+                    derivations[tid].append(used)
 
-    result = Instance(
-        mapping.target, {name: out.facts() for name, out in outputs.items()}
-    )
+    result = Instance(mapping.target, {
+        rel: [Fact(tid, vector) for vector, tid in by_vector.items()]
+        for rel, by_vector in outputs.items()})
     rel_of = ({f.id: rel for rel, flist in facts.items() for f in flist}
               if provenance_mode == "where" else {})
-    annotations: dict[TupleId, object] = {}
-    for out in outputs.values():
-        for tid, derivations in out.derivations.items():
-            annotations[tid] = _annotation(provenance_mode, derivations, rel_of)
+    annotations = {tid: _annotation(provenance_mode, witnesses, rel_of)
+                   for tid, witnesses in derivations.items()}
     return result, ProvenanceStore(provenance_mode, annotations)
-
-
-def _add_output(out: _OutputRelation, vector: tuple[Value, ...], mode: str,
-                witness: tuple[Fact, ...]) -> None:
-    tid = out.by_vector.get(vector)
-    if tid is None:
-        tid = out.ids.fresh(out.tag)
-        out.by_vector[vector] = tid
-        out.order.append(vector)
-    if mode != "none":
-        out.derivations.setdefault(tid, []).append(witness)
 
 
 def _annotation(mode: str, derivations: list[tuple[Fact, ...]],
@@ -333,8 +381,8 @@ def _annotation(mode: str, derivations: list[tuple[Fact, ...]],
     """Sum a fact's derivations once, in the store's mode; each derivation
     is the product of the body facts its trigger matched."""
     if mode == "how":
-        return poly_add(*(Polynomial.of(*(f.id for f in witness))
-                          for witness in derivations))
+        return poly_add(*[Polynomial.of(*[f.id for f in witness])
+                          for witness in derivations])
     if mode == "why":
         return frozenset(frozenset(f.id for f in witness) for witness in derivations)
     return frozenset(rel_of[f.id] for witness in derivations for f in witness)

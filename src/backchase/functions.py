@@ -22,6 +22,7 @@ Built-ins:
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,13 +101,19 @@ def _render(unscaled: int, scale: int, decimal: bool) -> Constant:
     while scale > 0 and unscaled % 10 == 0:
         unscaled //= 10
         scale -= 1
-    if not decimal and scale == 0:
-        return const(str(unscaled))
-    if scale == 0:
-        unscaled *= 10
-        scale = 1
     sign = "-" if unscaled < 0 else ""
-    digits = str(abs(unscaled)).rjust(scale + 1, "0")
+    try:
+        digits = str(abs(unscaled))
+    except ValueError:  # more digits than str() converts
+        raise ChaseError(
+            f"dec_add result has more than {sys.get_int_max_str_digits()} "
+            f"digits") from None
+    if not decimal and scale == 0:
+        return const(sign + digits)
+    if scale == 0:
+        digits += "0"
+        scale = 1
+    digits = digits.rjust(scale + 1, "0")
     return const(f"{sign}{digits[:-scale]}.{digits[-scale:]}")
 
 

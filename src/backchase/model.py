@@ -35,7 +35,7 @@ _NUMBER_START = frozenset("+-0123456789")  # first characters of _INT_RE / _DEC_
 # values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Constant:
     lexical: str
     kind: str
@@ -44,7 +44,7 @@ class Constant:
         return f"Constant({self.lexical!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Null:
     label: int
 
@@ -80,7 +80,14 @@ def const(lexical: str) -> Constant:
             raise ValidationError(
                 f"integer constant of {len(lexical)} characters is too long") from None
     if _DEC_RE.match(lexical):
-        return Constant(_canon_decimal(lexical), DECIMAL)
+        canonical = _canon_decimal(lexical)
+        try:  # numeric_value reads both parts with int()
+            for digits in canonical.lstrip("-").split("."):
+                int(digits)
+        except ValueError:  # more digits than int() converts
+            raise ValidationError(
+                f"decimal constant of {len(lexical)} characters is too long") from None
+        return Constant(canonical, DECIMAL)
     return Constant(lexical, TEXT)
 
 
@@ -125,7 +132,7 @@ def constant_order_key(value: Constant) -> tuple:
 # tuple identifiers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TupleId:
     tag: str
     ordinal: int
@@ -262,7 +269,7 @@ def schemas_equal(a: Schema, b: Schema) -> bool:
 # instances
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fact:
     id: TupleId
     values: tuple[Value, ...]
@@ -271,7 +278,7 @@ class Fact:
 class Instance:
     """A database instance: per-relation collections of identified facts."""
 
-    __slots__ = ("schema", "_facts")
+    __slots__ = ("schema", "_facts", "_sorted")
 
     def __init__(self, schema: Schema, facts: Mapping[str, Sequence[Fact]]):
         self.schema = schema
@@ -293,11 +300,21 @@ class Instance:
         if unknown:
             raise ValidationError(f"facts for relations not in schema: {sorted(unknown)}")
         self._facts = stored
+        self._sorted: dict[str, tuple[Fact, ...]] = {}
 
     def facts(self, relation: str) -> tuple[Fact, ...]:
         if relation not in self._facts:
             raise ValidationError(f"instance has no relation {relation!r}")
         return self._facts[relation]
+
+    def sorted_facts(self, relation: str) -> tuple[Fact, ...]:
+        """One relation's facts in canonical order (``fact_sort_key``),
+        sorted on first use and kept, since the instance never changes."""
+        ordered = self._sorted.get(relation)
+        if ordered is None:
+            ordered = self._sorted[relation] = tuple(
+                sorted(self.facts(relation), key=fact_sort_key))
+        return ordered
 
     def iter_facts(self) -> Iterator[tuple[str, Fact]]:
         for rel in self.schema.relations:
@@ -339,12 +356,21 @@ def empty_instance(schema: Schema) -> Instance:
 
 
 def seed_allocators(*instances: Instance) -> tuple[NullAllocator, IdAllocator]:
-    nulls = NullAllocator(max((i.max_null_label() for i in instances), default=0))
+    """Allocators that continue after every null label and tuple id the
+    instances hold, in one pass over their facts."""
+    last_null = 0
     ids = IdAllocator()
+    last_id = ids._last
     for inst in instances:
-        for tid in inst.all_ids():
-            ids.reserve(tid)
-    return nulls, ids
+        for facts in inst._facts.values():
+            for fact in facts:
+                tid = fact.id
+                if tid.ordinal > last_id.get(tid.tag, 0):
+                    last_id[tid.tag] = tid.ordinal
+                for v in fact.values:
+                    if type(v) is Null and v.label > last_null:
+                        last_null = v.label
+    return NullAllocator(last_null), ids
 
 
 # ---------------------------------------------------------------------------

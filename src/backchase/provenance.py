@@ -8,6 +8,7 @@ sorted with like monomials merged; textual form is ``r1*s1 + 2*r3``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import ProvenanceError, ValidationError
@@ -24,17 +25,26 @@ def check_mode(mode: str) -> str:
     return mode
 
 
+_ID_KEY = attrgetter("tag", "ordinal")  # TupleId.sort_key
+
+
 def monomial(ids: Iterable[TupleId]) -> Monomial:
-    return tuple(sorted(ids, key=lambda t: t.sort_key()))
+    return tuple(sorted(ids, key=_ID_KEY))
 
 
 def _mono_key(m: Monomial) -> tuple:
-    return tuple(t.sort_key() for t in m)
+    return tuple(map(_ID_KEY, m))
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Canonical semiring polynomial: sorted (monomial, coefficient) pairs."""
+    """Canonical semiring polynomial: sorted (monomial, coefficient) pairs.
+
+    Every polynomial the package builds is canonical: each monomial sorted,
+    like monomials merged, no zero coefficient, the terms sorted by
+    monomial.  ``of``, ``build``, ``zero`` and ``one`` make canonical
+    polynomials, and so does every operation on canonical ones; a caller
+    that constructs a ``Polynomial`` directly must keep the invariant."""
 
     terms: tuple[tuple[Monomial, int], ...]
 
@@ -75,7 +85,10 @@ class Polynomial:
 
 
 def poly_add(*ps: Polynomial) -> Polynomial:
-    """Sum any number of polynomials, canonicalizing once."""
+    """Sum any number of canonical polynomials, canonicalizing once; the sum
+    of one polynomial is that polynomial."""
+    if len(ps) == 1:
+        return ps[0]
     return Polynomial.build(term for p in ps for term in p.terms)
 
 

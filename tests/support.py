@@ -25,7 +25,17 @@ from backchase import (
     isomorphic,
     null,
 )
-from backchase.model import constant_order_key, relation_tag, value_sort_key
+from backchase.chase import evaluate_term
+from backchase.functions import FunctionRegistry, default_registry
+from backchase.model import (
+    IdAllocator,
+    NullAllocator,
+    constant_order_key,
+    fact_sort_key,
+    relation_tag,
+    value_sort_key,
+)
+from backchase.provenance import Polynomial, ProvenanceStore
 from backchase.tgds import Atom, Comparison, SchemaMapping, StTgd, Variable
 
 TEXT_POOL = ("a", "b", "c", "d", "e", "f")
@@ -216,6 +226,56 @@ def _naive_conditions(conditions, bindings) -> bool:
                     ">": lk > rk, ">=": lk >= rk}[cond.op]:
                 return False
     return True
+
+
+def chase_reference(instance: Instance, mapping: SchemaMapping, mode: str,
+                    functions: FunctionRegistry | None = None):
+    """The chase done the straightforward way: every trigger of the plain
+    nested loop over canonically laid-out facts, in that order; one fresh
+    null per existential variable; head terms evaluated one by one; equal
+    vectors merged into the first fact that carried them; and each fact's
+    annotation a left fold of its derivations, pairwise canonicalizing sums
+    for how-provenance.  Null labels and tuple ids continue after the
+    largest ones in ``instance``."""
+    functions = functions or default_registry()
+    canonical = Instance(instance.schema, {
+        rel: sorted(instance.facts(rel), key=fact_sort_key)
+        for rel in instance.schema.names()})
+    nulls = NullAllocator(max((v.label for _, f in instance.iter_facts()
+                               for v in f.values if isinstance(v, Null)), default=0))
+    ids = IdAllocator()
+    rel_of = {}
+    for rel, f in instance.iter_facts():
+        ids.reserve(f.id)
+        rel_of[f.id] = rel
+    tids: dict[tuple, TupleId] = {}
+    rows: dict[str, list[Fact]] = {rel: [] for rel in mapping.target.names()}
+    annotations: dict[TupleId, object] = {}
+    for tgd, bindings, combo in naive_trigger_matches(canonical, mapping):
+        full = dict(bindings)
+        for var in tgd.existential_order():
+            full[var] = nulls.fresh()
+        emitted = set()
+        for atom in tgd.head:
+            key = (atom.relation,
+                   tuple(evaluate_term(t, full, functions) for t in atom.terms))
+            if key in emitted:
+                continue
+            emitted.add(key)
+            tid = tids.get(key)
+            if tid is None:
+                tid = tids[key] = ids.fresh(relation_tag(atom.relation))
+                rows[atom.relation].append(Fact(tid, key[1]))
+            combo_ids = tuple(f.id for f in combo)
+            prev = annotations.get(tid)
+            if mode == "how":
+                prev = prev or Polynomial.zero()
+                annotations[tid] = Polynomial.build(prev.terms + ((combo_ids, 1),))
+            elif mode == "why":
+                annotations[tid] = (prev or frozenset()) | {frozenset(combo_ids)}
+            elif mode == "where":
+                annotations[tid] = (prev or frozenset()) | {rel_of[t] for t in combo_ids}
+    return Instance(mapping.target, rows), ProvenanceStore(mode, annotations)
 
 
 # ---------------------------------------------------------------------------

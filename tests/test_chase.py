@@ -16,6 +16,7 @@ from backchase import (
     TupleId,
     chase,
     compile_forward,
+    compile_inverse,
     const,
     expand_duplicates,
     format_polynomial,
@@ -26,10 +27,13 @@ from backchase import (
     null,
 )
 from backchase.chase import conditions_hold, iter_body_matches, sorted_facts
-from backchase.provenance import Polynomial, store_to_json
+from backchase.provenance import MODES, Polynomial, store_to_json
 from support import (
     COPY_COL_PARAMS,
     JOIN_PARAMS,
+    RESOURCE_CONFIGS,
+    SMO_CASES,
+    chase_reference,
     inst,
     naive_trigger_matches,
     random_ground_instance,
@@ -272,19 +276,114 @@ def naive_triggers(instance, mapping):
             for tgd, _, combo in naive_trigger_matches(instance, mapping)]
 
 
-@pytest.mark.parametrize("label", sorted(JOIN_SPECS))
+# Hand-written tgds for the match and fire plan's other cases: per label, the
+# dependency and whether random instances for it may hold nulls (function
+# terms reject them).
+HANDWRITTEN = {
+    "repeat in one atom": ("R(a, a, b) -> T(a, b)", True),
+    "repeat of an earlier variable": ("R(a, b, c) AND V(b, b) -> T(a, c)", True),
+    "body constant": ("R(a, 'x', b) AND V(b, c) -> T(a, c)", True),
+    "three atoms, = between 1 and 3": (
+        "R(a, b, c) AND V(d, e) AND W(f, g) AND a = f -> T(a, b, e, g)", True),
+    "head emits one vector twice": ("R(a, b, c) -> T(a, b) AND T(a, c)", True),
+    "existential head": ("R(a, b, c) AND V(c, d) -> EXISTS N, M: T(a, N) "
+                         "AND U(N, d, M) AND T(a, N)", True),
+    "function head": ("R(a, b, c) -> T(a, concat_pipe(b, c)) AND "
+                      "U(dec_add(a, b), dec_add^-1(c, a), c)", False),
+}
+HANDWRITTEN_POOL = [const(x) for x in ("x", "y", "1", "2.5")] + [null(1), null(2)]
+GROUND_POOL = [const(x) for x in ("1", "2.5", "-3", "0.75")]
+
+
+def handwritten_mapping(label):
+    """The hand-written tgd over schemas read off its atoms."""
+    tgd = parse_tgd(HANDWRITTEN[label][0])
+
+    def schema(atoms):
+        arity = {a.relation: len(a.terms) for a in atoms}
+        return Schema(tuple(RelationSchema(rel, tuple(f"c{i}" for i in range(n)))
+                            for rel, n in sorted(arity.items())))
+
+    return SchemaMapping(schema(tgd.body), schema(tgd.head), (tgd,))
+
+
+def random_instance(rng, schema, pool, canonical=False):
+    """Up to six rows per relation over ``pool``; vectors may repeat."""
+    instance = Instance(schema, {
+        rel.name: [Fact(TupleId(rel.name.lower(), i + 1),
+                        tuple(rng.choice(pool) for _ in rel.attributes))
+                   for i in range(rng.randint(0, 6))]
+        for rel in schema.relations})
+    if canonical:
+        instance = Instance(schema, {rel: sorted_facts(instance, rel)
+                                     for rel in schema.names()})
+    return instance
+
+
+def trigger_case(label):
+    """A mapping and a maker of random instances, canonical or not."""
+    if label in JOIN_SPECS:
+        return compile_forward(JOIN_SPECS[label], PAIR), pair_with_nulls
+    mapping = handwritten_mapping(label)
+    pool = HANDWRITTEN_POOL if HANDWRITTEN[label][1] else GROUND_POOL
+    return mapping, lambda rng, canonical=False: random_instance(
+        rng, mapping.source, pool, canonical)
+
+
+@pytest.mark.parametrize("label", sorted(JOIN_SPECS) + sorted(HANDWRITTEN))
 def test_indexed_triggers_equal_nested_loop(label):
-    mapping = compile_forward(JOIN_SPECS[label], PAIR)
+    mapping, make = trigger_case(label)
     rng = random.Random(17)
     for _ in range(150):
-        instance = pair_with_nulls(rng)
+        instance = make(rng)
         assert Counter(engine_triggers(instance, mapping)) == \
             Counter(naive_triggers(instance, mapping))
         # with facts laid out in canonical order the plain nested loop
         # enumerates in the engine's order, so the sequences agree too
-        canonical = pair_with_nulls(rng, canonical=True)
+        canonical = make(rng, canonical=True)
         assert engine_triggers(canonical, mapping) == \
             naive_triggers(canonical, mapping)
+
+
+def assert_chase_equals_reference(instance, mapping):
+    """The compiled chase and the straightforward one agree exactly in
+    every provenance mode: facts in order, tuple ids, null labels, store."""
+    for mode in MODES:
+        try:
+            expected = chase_reference(instance, mapping, mode)
+        except ChaseError:
+            with pytest.raises(ChaseError):
+                chase(instance, mapping, mode)
+            continue
+        out, store = chase(instance, mapping, mode)
+        assert out == expected[0]
+        assert store == expected[1]
+
+
+@pytest.mark.parametrize("label", sorted(JOIN_SPECS) + sorted(HANDWRITTEN))
+def test_chase_equals_reference_on_written_tgds(label):
+    mapping, make = trigger_case(label)
+    rng = random.Random(41)
+    for _ in range(60):
+        assert_chase_equals_reference(make(rng), mapping)
+
+
+@pytest.mark.parametrize("kind", sorted(SMO_CASES))
+def test_chase_equals_reference_on_operator_mappings(kind):
+    """Every forward mapping of the operator cases, and every inverse
+    mapping at every resource level run on the forward chase's output."""
+    rng = random.Random(53)
+    for _ in range(6):
+        for make in SMO_CASES[kind]:
+            instance, smo = make(rng)
+            forward = compile_forward(smo, instance.schema)
+            assert_chase_equals_reference(instance, forward)
+            target, _ = chase(instance, forward, "none")
+            inverses = {
+                compile_inverse(smo, instance.schema, level, side, fn).mapping
+                for level, side in RESOURCE_CONFIGS for fn in (False, True)}
+            for mapping in inverses:
+                assert_chase_equals_reference(target, mapping)
 
 
 @pytest.mark.parametrize("label, fires", [
@@ -299,6 +398,10 @@ def test_shared_null_label_joins_only_through_a_shared_variable(label, fires):
     expected = [(join, (TupleId("r", 1), TupleId("v", 1)))] if fires else []
     joined = [t for t in engine_triggers(instance, mapping) if t[0] == join]
     assert joined == expected
+    # the index leaves out a null at an `=`-keyed position, so no match is
+    # even enumerated for conditions_hold to reject
+    facts = {rel: sorted_facts(instance, rel) for rel in PAIR.names()}
+    assert len(list(iter_body_matches(join, facts))) == len(expected)
     assert [t for t in naive_triggers(instance, mapping) if t[0] == join] == expected
 
 

@@ -353,6 +353,70 @@ def test_boolean_null_label_exits_2(tmp_path, fixtures_dir, capsys):
     assert "null label must be a positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step, fragment", [
+    ({"kind": "PARTITION_TABLE", "table": "R", "targets": ["T1", "T2"],
+      "condition": None}, "parameter 'condition' must hold objects"),
+    ({"kind": "PARTITION_TABLE", "table": "R", "targets": ["T1", "T2"],
+      "condition": {"attribute": ["z"], "op": "<", "value": "1"}},
+     "'attribute' must be a name"),
+    ({"kind": "ADD_COLUMN", "relation": "R", "column": "w",
+      "filler": {"function": ["concat_pipe"], "args": ["x", "y"]}},
+     "'function' must be a name"),
+    ({"kind": "ADD_COLUMN", "relation": "R", "column": "w",
+      "filler": {"function": "concat_pipe", "args": None}},
+     "'args' must be a list of names"),
+    ({"kind": "COPY_COLUMN", "relation": "R", "source": "V", "column": "z",
+      "join": {"column": "x", "source_column": {}}}, "'source_column' must be a name"),
+    ({"kind": "DECOMPOSE_TABLE", "table": "R",
+      "parts": [{"name": "R1", "attributes": None}, {"name": "R2", "attributes": []}]},
+     "'attributes' must be a list of names"),
+], ids=["condition-null", "condition-attribute-list", "filler-function-list",
+        "filler-args-null", "join-column-object", "parts-attributes-null"])
+def test_mistyped_nested_parameters_exit_2(tmp_path, capsys, step, fragment):
+    ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
+    ipath.write_text(json.dumps(FUZZ_INSTANCE))
+    spath.write_text(json.dumps({"steps": [step]}))
+    code = run_cli("roundtrip", "--in", str(ipath), "--script", str(spath),
+                   "--report", str(tmp_path / "r.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert "Traceback" not in err
+
+
+def _r3_instance(*values: str) -> dict:
+    return {"relations": [{"name": "R", "attributes": ["x", "y", "z"], "tuples": [
+        {"id": "r1", "values": [{"const": v} for v in values]}]}]}
+
+
+WIDE = "9" * 3000 + "." + "9" * 3000  # each part converts, the sum does not
+
+
+@pytest.mark.parametrize("values, step, fragment", [
+    (("a", "b", "1." + "1" * 5000),
+     {"kind": "PARTITION_TABLE", "table": "R",
+      "condition": {"attribute": "z", "op": "<", "value": "2.5"},
+      "targets": ["T1", "T2"]},
+     "decimal constant of 5002 characters is too long"),
+    (("a", "1" * 5000 + ".5", "1.0"),
+     {"kind": "NOP"}, "decimal constant of 5002 characters is too long"),
+    (("a", WIDE, WIDE),
+     {"kind": "MERGE_COLUMN", "relation": "R", "columns": ["y", "z"],
+      "target_column": "s", "function": "dec_add"},
+     "dec_add result has more than"),
+], ids=["long-decimal-condition", "long-whole-part", "long-dec_add-sum"])
+def test_long_numerals_exit_2(tmp_path, capsys, values, step, fragment):
+    ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
+    ipath.write_text(json.dumps(_r3_instance(*values)))
+    spath.write_text(json.dumps({"steps": [step]}))
+    code = run_cli("roundtrip", "--in", str(ipath), "--script", str(spath),
+                   "--provenance", "how", "--report", str(tmp_path / "r.json"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # fuzzing tampered run directories
 
@@ -429,5 +493,111 @@ def test_tampered_run_directory_never_raises(saved_two_step_run, capsys, data):
         shutil.copytree(run, copy)
         (copy / name).write_text(text, encoding="utf-8")
         code = run_cli("invert", "--run", str(copy), "--out", str(Path(tmp) / "back.json"))
+    assert code in (0, 2, 3)
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing evolve/roundtrip inputs
+
+FUZZ_INSTANCE = {"relations": [
+    {"name": "R", "attributes": ["x", "y", "z"], "tuples": [
+        {"id": "r1", "values": [{"const": "a"}, {"const": "1.5"}, {"const": "2"}]},
+        {"id": "r2", "values": [{"const": "b|c"}, {"const": "2.5"}, {"const": "3.0"}]},
+        {"id": "r3", "values": [{"const": "a"}, {"const": "-4"}, {"const": "2"}]}]},
+    {"name": "V", "attributes": ["x", "y", "z"], "tuples": [
+        {"id": "v1", "values": [{"const": "a"}, {"const": "k"}, {"const": "1"}]},
+        {"id": "v2", "values": [{"const": "d"}, {"const": "1.5"}, {"null": 1}]}]}]}
+FUZZ_STEPS = [
+    {"kind": "COPY_TABLE", "table": "R", "copy": "W"},
+    {"kind": "DECOMPOSE_TABLE", "table": "R", "variant": 2,
+     "parts": [{"name": "R1", "attributes": ["x", "y"]},
+               {"name": "R2", "attributes": ["x", "z"]}]},
+    {"kind": "JOIN_TABLE", "left": "R", "right": "V", "left_column": "x",
+     "right_column": "x", "target": "T"},
+    {"kind": "MERGE_TABLE", "left": "R", "right": "V", "target": "T"},
+    {"kind": "PARTITION_TABLE", "table": "R", "targets": ["T1", "T2"],
+     "condition": {"attribute": "z", "op": "<", "value": "2.5"}},
+    {"kind": "ADD_COLUMN", "relation": "R", "column": "w",
+     "filler": {"function": "concat_pipe", "args": ["x", "y"]}},
+    {"kind": "COPY_COLUMN", "relation": "R", "source": "V", "column": "z",
+     "join": {"column": "x", "source_column": "x"}},
+    {"kind": "MERGE_COLUMN", "relation": "R", "columns": ["y", "z"],
+     "target_column": "s", "function": "dec_add"},
+    {"kind": "SPLIT_COLUMN", "relation": "R", "column": "x",
+     "target_columns": ["h", "t"], "recombine": "concat_pipe",
+     "functions": ["split_pipe_head", "split_pipe_tail"]},
+    {"kind": "DROP_COLUMN", "relation": "V", "column": "z"},
+]
+LONG_NUMERALS = ["1." + "1" * 5000, "9" * 5000, "-" + "9" * 3000 + "." + "9" * 3000,
+                 "0." + "0" * 4999 + "1"]
+NUMERALS = LONG_NUMERALS + ["007", "-0.0", "2.50", "1" * 4000 + ".5"]
+fuzz_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(["", "R", "V", "W", "x", "y", "z", "a", "1", "2.5", "<", "=",
+                       "dec_add", "concat_pipe", "null", "NOP", "BOGUS"]
+                      + LONG_NUMERALS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(
+        ["name", "attributes", "tuples", "id", "values", "const", "null",
+         "kind", "table", "relation", "column", "columns", "attribute", "op",
+         "value", "function", "args", "targets", "target", "variant"]),
+        inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def fuzzed_inputs(draw):
+    """An instance and a script, most often one of them malformed: a
+    position of either replaced by arbitrary JSON or removed, a step of
+    unknown or arbitrary kind and parameters, or a value replaced by a
+    numeral, often an over-long one."""
+    instance = json.loads(json.dumps(FUZZ_INSTANCE))
+    steps = [json.loads(json.dumps(step))
+             for step in draw(st.lists(st.sampled_from(FUZZ_STEPS), min_size=1,
+                                       max_size=2))]
+    script = {"steps": steps}
+    how = draw(st.sampled_from(["replace", "remove", "step", "numeral", "none"]))
+    if how == "step":
+        kind = draw(st.sampled_from([s["kind"] for s in FUZZ_STEPS]
+                                    + ["NOP", "BOGUS", "", "nop"]))
+        params = draw(st.dictionaries(st.sampled_from(
+            sorted({k for s in FUZZ_STEPS for k in s} - {"kind"})), fuzz_values,
+            max_size=4))
+        steps.insert(draw(st.integers(0, len(steps))), {"kind": kind, **params})
+    elif how == "numeral":
+        rel = draw(st.sampled_from(instance["relations"]))
+        row = draw(st.sampled_from(rel["tuples"]))
+        row["values"][draw(st.integers(0, 2))] = {
+            "const": draw(st.sampled_from(NUMERALS))}
+    elif how != "none":
+        doc = draw(st.sampled_from([instance, script]))
+        path = draw(st.sampled_from(list(_paths(doc))[1:]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if how == "remove":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(fuzz_values)
+    return instance, script
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(inputs=fuzzed_inputs(),
+       mode=st.sampled_from(["none", "where", "why", "how"]),
+       side_tables=st.booleans())
+def test_fuzzed_roundtrip_inputs_never_raise(capsys, inputs, mode, side_tables):
+    instance, script = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        ipath, spath = Path(tmp) / "i.json", Path(tmp) / "s.json"
+        ipath.write_text(json.dumps(instance))
+        spath.write_text(json.dumps(script))
+        argv = ["roundtrip", "--in", str(ipath), "--script", str(spath),
+                "--provenance", mode, "--report", str(Path(tmp) / "r.json")]
+        code = run_cli(*argv + (["--side-tables"] if side_tables else []))
     assert code in (0, 2, 3)
     capsys.readouterr()

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -102,3 +104,16 @@ def test_unknown_function_and_arity():
         REG.call("dec_add", (const("1"),))
     with pytest.raises(ChaseError):
         REG.call_inverse("split_pipe_head", const("a|b"), ())
+
+
+def test_results_too_long_to_print_raise_chase_error():
+    # both inputs are valid constants, but the sum and the difference have
+    # more digits than str() converts
+    wide = dec("9" * 3000 + "." + "9" * 3000)
+    with pytest.raises(ChaseError, match="more than"):
+        REG.call("dec_add", (wide, wide))
+    with pytest.raises(ChaseError, match="more than"):
+        REG.call_inverse("dec_add", wide, (dec("-" + "9" * 3000 + "." + "9" * 3000),))
+    limit = sys.get_int_max_str_digits()
+    edge = dec("9" * (limit - 1) + ".9")  # limit digits once scaled
+    assert REG.call("dec_add", (edge, dec("0.0"))) == edge

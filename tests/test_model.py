@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from backchase import (
     normalize,
     null,
 )
+from backchase.model import IdAllocator, fact_sort_key, seed_allocators
 from support import inst
 
 
@@ -294,3 +296,70 @@ def test_json_malformed():
             "name": "R", "attributes": ["x"],
             "tuples": [{"id": "r1", "values": [{"boom": 1}]}],
         }]})
+
+
+def test_long_decimal_constant_rejected():
+    # every decimal const accepts, numeric_value can read
+    with pytest.raises(ValidationError, match="too long"):
+        const("1." + "1" * 5000)
+    with pytest.raises(ValidationError, match="too long"):
+        const("-" + "1" * 5000 + ".5")
+    assert const("0" * 5000 + "1.5" + "0" * 5000).lexical == "1.5"
+
+
+@pytest.mark.parametrize("value, field", [
+    (const("a"), "lexical"), (null(1), "label"), (TupleId("r", 1), "ordinal"),
+    (Fact(TupleId("r", 1), (const("a"),)), "values")])
+def test_value_classes_stay_frozen(value, field):
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(value, field, getattr(value, field))
+    copy = dataclasses.replace(value)
+    assert copy == value and hash(copy) == hash(value)
+
+
+shuffled_facts = st.lists(
+    st.tuples(st.sampled_from(["r", "s"]), st.integers(1, 9), values_strategy,
+              values_strategy),
+    max_size=12, unique_by=lambda row: row[:2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(shuffled_facts, shuffled_facts, st.randoms(use_true_random=False))
+def test_canonical_order_is_sorted_facts(r_rows, q_rows, rng):
+    schema = Schema.of(RelationSchema("R", ("x", "y")),
+                       RelationSchema("Q", ("x", "y")))
+    facts = {rel: [Fact(TupleId(tag, n), (a, b)) for tag, n, a, b in rows]
+             for rel, rows in (("R", r_rows), ("Q", q_rows))}
+    for rows in facts.values():
+        rng.shuffle(rows)
+    instance = Instance(schema, {"R": facts["R"],
+                                 "Q": [Fact(TupleId("q" + f.id.tag, f.id.ordinal),
+                                            f.values) for f in facts["Q"]]})
+    for rel in schema.names():
+        first = instance.sorted_facts(rel)
+        assert list(first) == sorted(instance.facts(rel), key=fact_sort_key)
+        assert instance.sorted_facts(rel) is first  # sorted once
+
+
+def seed_allocators_by_generators(*instances):
+    """The allocator seeding as it was, through the instance's generators."""
+    nulls = NullAllocator(max((i.max_null_label() for i in instances), default=0))
+    ids = IdAllocator()
+    for instance in instances:
+        for tid in instance.all_ids():
+            ids.reserve(tid)
+    return nulls, ids
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(shuffled_facts, max_size=4))
+def test_seed_allocators_agree_with_generators(instance_rows):
+    instances = [Instance(SCHEMA_R2, {"R": [
+        Fact(TupleId(tag, n), (a, b)) for tag, n, a, b in rows]})
+        for rows in instance_rows]
+    nulls, ids = seed_allocators(*instances)
+    old_nulls, old_ids = seed_allocators_by_generators(*instances)
+    assert nulls.last == old_nulls.last
+    for tag in ("r", "s", "t"):
+        assert ids.fresh(tag) == old_ids.fresh(tag)

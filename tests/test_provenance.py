@@ -169,3 +169,17 @@ def test_duplicate_count():
     where = ProvenanceStore("where", {TupleId("t", 1): frozenset({"R"})})
     with pytest.raises(ProvenanceError):
         where.duplicate_count(TupleId("t", 1))
+
+
+tuple_ids = st.builds(TupleId, st.sampled_from(["r", "s", "t"]), st.integers(1, 4))
+polynomials = st.lists(st.tuples(st.lists(tuple_ids, max_size=3), st.integers(0, 3)),
+                       max_size=4).map(Polynomial.build)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials, polynomials)
+def test_poly_add_of_canonical_polynomials(p, q):
+    assert poly_add(p) is p
+    assert poly_add(p) == Polynomial.build(p.terms)
+    assert poly_add(p, q) == Polynomial.build(p.terms + q.terms)
+    assert parse_polynomial(format_polynomial(p)) == p
