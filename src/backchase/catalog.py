@@ -1,10 +1,18 @@
 """The schema-modification operator catalog.
 
-Sixteen operators (fifteen plus NOP), each compiled to a forward set of
-source-to-target dependencies over the full schema (untouched relations get
-identity dependencies so multi-step scripts chain), an inverse plan per
-available resource level, side-table requirements, and a predicted inverse
-type that is a guaranteed lower bound on what the classifier will report.
+Sixteen operators (fifteen plus NOP), one ``Operator`` record each in
+``OPERATORS``.  A record holds everything the catalog knows about its
+operator: its class, inverse operator names and description, the builder of
+its forward source-to-target dependencies, the builder of its inverse plan
+per available resource level, the side tables that inverse needs, whether a
+function registry carries its inverse function, the instance features its
+prediction reads, and its predicted inverse type, a guaranteed lower bound on
+what the classifier will report.
+
+Builders return only the operator's own dependencies.  ``compile_forward``
+carries every relation the operator leaves alone by an identity dependency,
+so multi-step scripts chain, and ``compile_inverse`` ends the inverse with
+the same identity dependencies.
 
 Operator classes:
 
@@ -29,7 +37,7 @@ least one join partner, which is a documented precondition of the operator
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .analysis import InverseType
 from .chase import chase, matched_source_ids
@@ -46,92 +54,6 @@ from .tgds import (
     Term,
     Variable,
     variable_names,
-)
-
-COPY_TABLE = "COPY_TABLE"
-CREATE_TABLE = "CREATE_TABLE"
-DECOMPOSE_TABLE = "DECOMPOSE_TABLE"
-DROP_TABLE = "DROP_TABLE"
-JOIN_TABLE = "JOIN_TABLE"
-MERGE_TABLE = "MERGE_TABLE"
-PARTITION_TABLE = "PARTITION_TABLE"
-RENAME_TABLE = "RENAME_TABLE"
-ADD_COLUMN = "ADD_COLUMN"
-COPY_COLUMN = "COPY_COLUMN"
-DROP_COLUMN = "DROP_COLUMN"
-MERGE_COLUMN = "MERGE_COLUMN"
-MOVE_COLUMN = "MOVE_COLUMN"
-RENAME_COLUMN = "RENAME_COLUMN"
-SPLIT_COLUMN = "SPLIT_COLUMN"
-NOP = "NOP"
-
-ALL_KINDS = (
-    COPY_TABLE, CREATE_TABLE, DECOMPOSE_TABLE, DROP_TABLE, JOIN_TABLE,
-    MERGE_TABLE, PARTITION_TABLE, RENAME_TABLE, ADD_COLUMN, COPY_COLUMN,
-    DROP_COLUMN, MERGE_COLUMN, MOVE_COLUMN, RENAME_COLUMN, SPLIT_COLUMN, NOP,
-)
-
-SMO_CLASS = {
-    COPY_TABLE: ("I",),
-    CREATE_TABLE: ("I",),
-    DECOMPOSE_TABLE: ("III",),
-    DROP_TABLE: ("IV",),
-    JOIN_TABLE: ("II",),
-    MERGE_TABLE: ("IV",),
-    PARTITION_TABLE: ("I",),
-    RENAME_TABLE: ("I",),
-    ADD_COLUMN: ("I",),
-    COPY_COLUMN: ("I",),
-    DROP_COLUMN: ("III",),
-    MERGE_COLUMN: ("III",),
-    MOVE_COLUMN: ("II", "III"),
-    RENAME_COLUMN: ("I",),
-    SPLIT_COLUMN: ("III",),
-    NOP: ("I",),
-}
-
-CLASS_I = frozenset(k for k, c in SMO_CLASS.items() if c == ("I",))
-
-INVERSE_SMO = {
-    COPY_TABLE: ("DROP_TABLE", "MERGE_TABLE"),
-    CREATE_TABLE: ("DROP_TABLE",),
-    DECOMPOSE_TABLE: ("ADD_COLUMN", "JOIN_TABLE"),
-    DROP_TABLE: ("CREATE_TABLE",),
-    JOIN_TABLE: ("DECOMPOSE_TABLE",),
-    MERGE_TABLE: ("PARTITION_TABLE",),
-    PARTITION_TABLE: ("MERGE_TABLE",),
-    RENAME_TABLE: ("RENAME_TABLE",),
-    ADD_COLUMN: ("DROP_COLUMN",),
-    COPY_COLUMN: ("DROP_COLUMN",),
-    DROP_COLUMN: ("ADD_COLUMN",),
-    MERGE_COLUMN: ("SPLIT_COLUMN",),
-    MOVE_COLUMN: ("MOVE_COLUMN",),
-    RENAME_COLUMN: ("RENAME_COLUMN",),
-    SPLIT_COLUMN: ("MERGE_COLUMN",),
-    NOP: ("NOP",),
-}
-
-DESCRIPTIONS = {
-    COPY_TABLE: "duplicate a table",
-    CREATE_TABLE: "add a new, empty table",
-    DECOMPOSE_TABLE: "project a table onto two overlapping parts",
-    DROP_TABLE: "remove a table",
-    JOIN_TABLE: "fuse two tables along a join condition",
-    MERGE_TABLE: "union two tables of equal shape into one",
-    PARTITION_TABLE: "split a table in two by a row condition",
-    RENAME_TABLE: "change a table name",
-    ADD_COLUMN: "append a column filled by a constant, a function, or nulls",
-    COPY_COLUMN: "pull a column in from a partner table via a join",
-    DROP_COLUMN: "remove a column",
-    MERGE_COLUMN: "replace two columns by a function of both",
-    MOVE_COLUMN: "like COPY_COLUMN, but the partner table loses the column",
-    RENAME_COLUMN: "change a column name",
-    SPLIT_COLUMN: "replace one column by two functions of it",
-    NOP: "do nothing",
-}
-
-_TWO_VARIANT_KINDS = frozenset(
-    {COPY_TABLE, DECOMPOSE_TABLE, ADD_COLUMN, COPY_COLUMN}
 )
 
 # Parameters naming one relation, column or function, and those naming several.
@@ -190,10 +112,11 @@ class SmoSpec:
             raise ValidationError(f"unknown operator kind {self.kind!r}")
         if self.variant not in (1, 2):
             raise ValidationError(f"variant must be 1 or 2, got {self.variant!r}")
-        if self.variant == 2 and self.kind not in _TWO_VARIANT_KINDS:
+        if self.variant > OPERATORS[self.kind].variants:
+            two = sorted(k for k, op in OPERATORS.items() if op.variants == 2)
             raise ValidationError(
                 f"{self.kind} has a single formalization; variant 2 is only "
-                f"defined for {sorted(_TWO_VARIANT_KINDS)}"
+                f"defined for {two}"
             )
         for key, value in self.params.items():
             if key in _NAME_PARAMS and not isinstance(value, str):
@@ -212,10 +135,6 @@ class SmoSpec:
         if default is not None or not required:
             return default
         raise ValidationError(f"{self.kind} needs parameter {key!r}")
-
-    @property
-    def classes(self) -> tuple[str, ...]:
-        return SMO_CLASS[self.kind]
 
 
 def smo_to_json(smo: SmoSpec) -> dict:
@@ -251,8 +170,8 @@ def script_from_json(obj) -> list[SmoSpec]:
 # compile helpers
 
 
-def _attr_vars(rel: RelationSchema, offset: int = 0) -> dict[str, Variable]:
-    names = variable_names(offset + rel.arity)[offset:]
+def _attr_vars(rel: RelationSchema) -> dict[str, Variable]:
+    names = variable_names(rel.arity)
     return {attr: Variable(v) for attr, v in zip(rel.attributes, names)}
 
 
@@ -265,13 +184,13 @@ def _identity_tgd(rel: RelationSchema, target_name: str | None = None) -> StTgd:
     )
 
 
-def _identities(source: Schema, except_for: Sequence[str]) -> list[StTgd]:
-    skip = set(except_for)
-    return [
-        _identity_tgd(rel)
-        for rel in source.relations
-        if rel.name not in skip
-    ]
+def _projection(wide: RelationSchema, narrow: RelationSchema) -> StTgd:
+    """Project rows of ``wide`` onto the attributes of ``narrow``."""
+    varmap = _attr_vars(wide)
+    return StTgd(
+        body=(Atom(wide.name, tuple(varmap[a] for a in wide.attributes)),),
+        head=(Atom(narrow.name, tuple(varmap[a] for a in narrow.attributes)),),
+    )
 
 
 def _require_new_relation(schema: Schema, name: str) -> None:
@@ -316,11 +235,20 @@ def compile_forward(smo: SmoSpec, source: Schema) -> SchemaMapping:
 
     Relations the operator leaves alone are carried by identity dependencies.
     """
-    builder = _FORWARD[smo.kind]
-    return builder(smo, source)
+    return _forward(smo, source)[0]
 
 
-def _forward_copy_table(smo: SmoSpec, source: Schema) -> SchemaMapping:
+def _forward(smo: SmoSpec, source: Schema
+             ) -> tuple[SchemaMapping, tuple[StTgd, ...]]:
+    """The forward mapping and its tail: the identity dependencies of the
+    relations the operator leaves alone, in source order."""
+    target, tgds, touched = OPERATORS[smo.kind].forward(smo, source)
+    tail = tuple(_identity_tgd(rel) for rel in source.relations
+                 if rel.name not in touched)
+    return SchemaMapping(source, target, tuple(tgds) + tail), tail
+
+
+def _forward_copy_table(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("table"))
     copy_name = smo.param("copy")
     kept_name = smo.param("kept", default=rel.name)
@@ -339,19 +267,17 @@ def _forward_copy_table(smo: SmoSpec, source: Schema) -> SchemaMapping:
     else:
         tgds = [StTgd(body, (Atom(kept_name, vars_),)),
                 StTgd(body, (Atom(copy_name, vars_),))]
-    tgds += _identities(source, [rel.name])
-    return SchemaMapping(source, target, tuple(tgds))
+    return target, tgds, [rel.name]
 
 
-def _forward_create_table(smo: SmoSpec, source: Schema) -> SchemaMapping:
+def _forward_create_table(smo: SmoSpec, source: Schema):
     name = smo.param("table")
     attributes = tuple(smo.param("attributes"))
     _require_new_relation(source, name)
-    target = source.replacing(add=[RelationSchema(name, attributes)])
-    return SchemaMapping(source, target, tuple(_identities(source, [])))
+    return source.replacing(add=[RelationSchema(name, attributes)]), [], []
 
 
-def _forward_decompose(smo: SmoSpec, source: Schema) -> SchemaMapping:
+def _forward_decompose(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("table"))
     parts = smo.param("parts")
     if not (isinstance(parts, (list, tuple)) and len(parts) == 2):
@@ -386,17 +312,15 @@ def _forward_decompose(smo: SmoSpec, source: Schema) -> SchemaMapping:
         tgds = [StTgd(body, (heads[0],)), StTgd(body, (heads[1],))]
     else:
         tgds = [StTgd(body, tuple(heads))]
-    tgds += _identities(source, [rel.name])
-    return SchemaMapping(source, target, tuple(tgds))
+    return target, tgds, [rel.name]
 
 
-def _forward_drop_table(smo: SmoSpec, source: Schema) -> SchemaMapping:
+def _forward_drop_table(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("table"))
-    target = source.replacing(drop=[rel.name])
-    return SchemaMapping(source, target, tuple(_identities(source, [rel.name])))
+    return source.replacing(drop=[rel.name]), [], [rel.name]
 
 
-def _forward_join(smo: SmoSpec, source: Schema) -> SchemaMapping:
+def _forward_join(smo: SmoSpec, source: Schema):
     left = source.relation(smo.param("left"))
     right = source.relation(smo.param("right"))
     if left.name == right.name:
@@ -427,11 +351,10 @@ def _forward_join(smo: SmoSpec, source: Schema) -> SchemaMapping:
         head=(Atom(target_name, head_terms),),
         conditions=(Comparison(lv[lpos], "=", rv[rpos]),),
     )
-    tgds = [tgd] + _identities(source, [left.name, right.name])
-    return SchemaMapping(source, target, tuple(tgds))
+    return target, [tgd], [left.name, right.name]
 
 
-def _forward_merge_table(smo: SmoSpec, source: Schema) -> SchemaMapping:
+def _forward_merge_table(smo: SmoSpec, source: Schema):
     left = source.relation(smo.param("left"))
     right = source.relation(smo.param("right"))
     if left.attributes != right.attributes:
@@ -449,11 +372,11 @@ def _forward_merge_table(smo: SmoSpec, source: Schema) -> SchemaMapping:
     tgds = [
         StTgd((Atom(left.name, vars_),), (Atom(target_name, vars_),)),
         StTgd((Atom(right.name, vars_),), (Atom(target_name, vars_),)),
-    ] + _identities(source, [left.name, right.name])
-    return SchemaMapping(source, target, tuple(tgds))
+    ]
+    return target, tgds, [left.name, right.name]
 
 
-def _forward_partition(smo: SmoSpec, source: Schema) -> SchemaMapping:
+def _forward_partition(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("table"))
     targets = smo.param("targets")
     if not (isinstance(targets, (list, tuple)) and len(targets) == 2):
@@ -478,11 +401,10 @@ def _forward_partition(smo: SmoSpec, source: Schema) -> SchemaMapping:
             StTgd(body, (Atom(t2, vars_),),
                   conditions=(Comparison(left, comp_op, right),))
         )
-    tgds += _identities(source, [rel.name])
-    return SchemaMapping(source, target, tuple(tgds))
+    return target, tgds, [rel.name]
 
 
-def _forward_rename_table(smo: SmoSpec, source: Schema) -> SchemaMapping:
+def _forward_rename_table(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("table"))
     new_name = smo.param("to")
     if new_name != rel.name:
@@ -490,11 +412,10 @@ def _forward_rename_table(smo: SmoSpec, source: Schema) -> SchemaMapping:
     target = source.replacing(
         drop=[rel.name], add=[RelationSchema(new_name, rel.attributes)]
     )
-    tgds = [_identity_tgd(rel, target_name=new_name)] + _identities(source, [rel.name])
-    return SchemaMapping(source, target, tuple(tgds))
+    return target, [_identity_tgd(rel, target_name=new_name)], [rel.name]
 
 
-def _forward_add_column(smo: SmoSpec, source: Schema) -> SchemaMapping:
+def _forward_add_column(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("relation"))
     column = smo.param("column")
     if column in rel.attributes:
@@ -529,8 +450,7 @@ def _forward_add_column(smo: SmoSpec, source: Schema) -> SchemaMapping:
         head=(Atom(rel.name, vars_ + (new_term,)),),
         existential_vars=existential,
     )
-    tgds = [tgd] + _identities(source, [rel.name])
-    return SchemaMapping(source, target, tuple(tgds))
+    return target, [tgd], [rel.name]
 
 
 def _copy_move_join(smo: SmoSpec, source: Schema, explicit_equality: bool):
@@ -572,55 +492,38 @@ def _copy_move_join(smo: SmoSpec, source: Schema, explicit_equality: bool):
         tuple(rv[a] for a in receiver.attributes) + (pv[moved],),
     )
     tgd = StTgd(body, (head,), conditions=conditions)
-    return receiver, partner, moved, new_name, tgd
+    widened = RelationSchema(receiver.name, receiver.attributes + (new_name,))
+    return partner, moved, widened, tgd
 
 
-def _forward_copy_column(smo: SmoSpec, source: Schema) -> SchemaMapping:
-    receiver, partner, moved, new_name, tgd = _copy_move_join(
+def _forward_copy_column(smo: SmoSpec, source: Schema):
+    partner, moved, widened, tgd = _copy_move_join(
         smo, source, explicit_equality=(smo.variant == 2)
     )
-    target = source.replacing(
-        RelationSchema(receiver.name, receiver.attributes + (new_name,))
-    )
-    tgds = [tgd] + _identities(source, [receiver.name])
-    return SchemaMapping(source, target, tuple(tgds))
+    return source.replacing(widened), [tgd], [widened.name]
 
 
-def _forward_move_column(smo: SmoSpec, source: Schema) -> SchemaMapping:
-    receiver, partner, moved, new_name, tgd = _copy_move_join(
+def _forward_move_column(smo: SmoSpec, source: Schema):
+    partner, moved, widened, tgd = _copy_move_join(
         smo, source, explicit_equality=False
     )
-    reduced = tuple(a for a in partner.attributes if a != moved)
-    if not reduced:
+    reduced = RelationSchema(
+        partner.name, tuple(a for a in partner.attributes if a != moved))
+    if not reduced.attributes:
         raise ValidationError("cannot move the only column of a table")
-    target = source.replacing(
-        RelationSchema(receiver.name, receiver.attributes + (new_name,)),
-        RelationSchema(partner.name, reduced),
-    )
-    pm = _attr_vars(partner)
-    projection = StTgd(
-        body=(Atom(partner.name, tuple(pm[a] for a in partner.attributes)),),
-        head=(Atom(partner.name, tuple(pm[a] for a in reduced)),),
-    )
-    tgds = [tgd, projection] + _identities(source, [receiver.name, partner.name])
-    return SchemaMapping(source, target, tuple(tgds))
+    target = source.replacing(widened, reduced)
+    return (target, [tgd, _projection(partner, reduced)],
+            [widened.name, partner.name])
 
 
-def _forward_drop_column(smo: SmoSpec, source: Schema) -> SchemaMapping:
+def _forward_drop_column(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("relation"))
     column = smo.param("column")
     rel.position(column)
-    kept = tuple(a for a in rel.attributes if a != column)
-    if not kept:
+    kept = RelationSchema(rel.name, tuple(a for a in rel.attributes if a != column))
+    if not kept.attributes:
         raise ValidationError("cannot drop the only column of a table")
-    target = source.replacing(RelationSchema(rel.name, kept))
-    varmap = _attr_vars(rel)
-    tgd = StTgd(
-        body=(Atom(rel.name, tuple(varmap[a] for a in rel.attributes)),),
-        head=(Atom(rel.name, tuple(varmap[a] for a in kept)),),
-    )
-    tgds = [tgd] + _identities(source, [rel.name])
-    return SchemaMapping(source, target, tuple(tgds))
+    return source.replacing(kept), [_projection(rel, kept)], [rel.name]
 
 
 def _merged_attrs(rel: RelationSchema, columns: Sequence[str],
@@ -640,7 +543,7 @@ def _merged_attrs(rel: RelationSchema, columns: Sequence[str],
     return tuple(out)
 
 
-def _forward_merge_column(smo: SmoSpec, source: Schema) -> SchemaMapping:
+def _forward_merge_column(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("relation"))
     columns = smo.param("columns")
     target_column = smo.param("target_column")
@@ -664,11 +567,10 @@ def _forward_merge_column(smo: SmoSpec, source: Schema) -> SchemaMapping:
         body=(Atom(rel.name, tuple(varmap[a] for a in rel.attributes)),),
         head=(Atom(target_name, tuple(head_terms)),),
     )
-    tgds = [tgd] + _identities(source, [rel.name])
-    return SchemaMapping(source, target, tuple(tgds))
+    return target, [tgd], [rel.name]
 
 
-def _forward_rename_column(smo: SmoSpec, source: Schema) -> SchemaMapping:
+def _forward_rename_column(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("relation"))
     column = smo.param("column")
     new_name = smo.param("to")
@@ -677,8 +579,7 @@ def _forward_rename_column(smo: SmoSpec, source: Schema) -> SchemaMapping:
         raise ValidationError(f"column {new_name!r} already exists in {rel.name}")
     attrs = tuple(new_name if a == column else a for a in rel.attributes)
     target = source.replacing(RelationSchema(rel.name, attrs))
-    tgds = [_identity_tgd(rel)] + _identities(source, [rel.name])
-    return SchemaMapping(source, target, tuple(tgds))
+    return target, [_identity_tgd(rel)], [rel.name]
 
 
 def _split_attrs(rel: RelationSchema, column: str,
@@ -694,7 +595,7 @@ def _split_attrs(rel: RelationSchema, column: str,
     return tuple(out)
 
 
-def _forward_split_column(smo: SmoSpec, source: Schema) -> SchemaMapping:
+def _forward_split_column(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("relation"))
     column = smo.param("column")
     new_columns = smo.param("target_columns")
@@ -721,32 +622,12 @@ def _forward_split_column(smo: SmoSpec, source: Schema) -> SchemaMapping:
         body=(Atom(rel.name, tuple(varmap[a] for a in rel.attributes)),),
         head=(Atom(target_name, tuple(head_terms)),),
     )
-    tgds = [tgd] + _identities(source, [rel.name])
-    return SchemaMapping(source, target, tuple(tgds))
+    return target, [tgd], [rel.name]
 
 
-def _forward_nop(smo: SmoSpec, source: Schema) -> SchemaMapping:
-    return SchemaMapping(source, source, tuple(_identities(source, [])))
+def _forward_nop(smo: SmoSpec, source: Schema):
+    return source, [], []
 
-
-_FORWARD = {
-    COPY_TABLE: _forward_copy_table,
-    CREATE_TABLE: _forward_create_table,
-    DECOMPOSE_TABLE: _forward_decompose,
-    DROP_TABLE: _forward_drop_table,
-    JOIN_TABLE: _forward_join,
-    MERGE_TABLE: _forward_merge_table,
-    PARTITION_TABLE: _forward_partition,
-    RENAME_TABLE: _forward_rename_table,
-    ADD_COLUMN: _forward_add_column,
-    COPY_COLUMN: _forward_copy_column,
-    DROP_COLUMN: _forward_drop_column,
-    MERGE_COLUMN: _forward_merge_column,
-    MOVE_COLUMN: _forward_move_column,
-    RENAME_COLUMN: _forward_rename_column,
-    SPLIT_COLUMN: _forward_split_column,
-    NOP: _forward_nop,
-}
 
 # ---------------------------------------------------------------------------
 # side tables
@@ -754,45 +635,47 @@ _FORWARD = {
 
 def side_table_specs(smo: SmoSpec, source: Schema) -> tuple[SideTableSpec, ...]:
     """Side tables the operator needs for its strongest inverse."""
-    if smo.kind == JOIN_TABLE:
-        left = source.relation(smo.param("left"))
-        right = source.relation(smo.param("right"))
-        return (
-            SideTableSpec(f"{left.name}_dangling", left.name, "dangling",
-                          left.attributes),
-            SideTableSpec(f"{right.name}_dangling", right.name, "dangling",
-                          right.attributes),
-        )
-    if smo.kind == MERGE_COLUMN:
-        rel = source.relation(smo.param("relation"))
-        second = smo.param("columns")[1]
-        return (
-            SideTableSpec(f"{rel.name}_{second}", rel.name, "projection",
-                          (second,)),
-        )
-    if smo.kind == DROP_COLUMN:
-        rel = source.relation(smo.param("relation"))
-        column = smo.param("column")
-        return (
-            SideTableSpec(f"{rel.name}_{column}", rel.name, "projection",
-                          (column,)),
-        )
-    if smo.kind == MOVE_COLUMN:
-        receiver = source.relation(smo.param("relation"))
-        partner = source.relation(smo.param("source"))
-        moved = smo.param("column")
-        return (
-            SideTableSpec(f"{receiver.name}_dangling", receiver.name,
-                          "dangling", receiver.attributes),
-            SideTableSpec(f"{partner.name}_{moved}", partner.name,
-                          "projection", (moved,)),
-        )
-    if smo.kind == DROP_TABLE:
-        rel = source.relation(smo.param("table"))
-        return (
-            SideTableSpec(f"{rel.name}_dropped", rel.name, "projection", ()),
-        )
+    return OPERATORS[smo.kind].side_tables(smo, source)
+
+
+def _dangling_rows(rel: RelationSchema) -> SideTableSpec:
+    return SideTableSpec(f"{rel.name}_dangling", rel.name, "dangling",
+                         rel.attributes)
+
+
+def _column_values(rel: RelationSchema, column: str) -> SideTableSpec:
+    return SideTableSpec(f"{rel.name}_{column}", rel.name, "projection",
+                         (column,))
+
+
+def _no_side_tables(smo: SmoSpec, source: Schema) -> tuple[SideTableSpec, ...]:
     return ()
+
+
+def _join_side_tables(smo: SmoSpec, source: Schema):
+    return (_dangling_rows(source.relation(smo.param("left"))),
+            _dangling_rows(source.relation(smo.param("right"))))
+
+
+def _drop_table_side_tables(smo: SmoSpec, source: Schema):
+    rel = source.relation(smo.param("table"))
+    return (SideTableSpec(f"{rel.name}_dropped", rel.name, "projection", ()),)
+
+
+def _drop_column_side_tables(smo: SmoSpec, source: Schema):
+    return (_column_values(source.relation(smo.param("relation")),
+                           smo.param("column")),)
+
+
+def _merge_column_side_tables(smo: SmoSpec, source: Schema):
+    return (_column_values(source.relation(smo.param("relation")),
+                           smo.param("columns")[1]),)
+
+
+def _move_column_side_tables(smo: SmoSpec, source: Schema):
+    return (_dangling_rows(source.relation(smo.param("relation"))),
+            _column_values(source.relation(smo.param("source")),
+                           smo.param("column")))
 
 
 # ---------------------------------------------------------------------------
@@ -859,13 +742,21 @@ class InversePlan:
 
 def inverse_function_ready(smo: SmoSpec, functions: FunctionRegistry) -> bool:
     """Whether the registry carries what the operator's exact inverse needs."""
-    if smo.kind == MERGE_COLUMN:
-        name = smo.param("function")
-        return functions.has(name) and functions.has_inverse(name)
-    if smo.kind == SPLIT_COLUMN:
-        recombine = smo.param("recombine", required=False)
-        return bool(recombine) and functions.has(recombine)
+    return OPERATORS[smo.kind].inverse_function_ready(smo, functions)
+
+
+def _no_inverse_function(smo: SmoSpec, functions: FunctionRegistry) -> bool:
     return False
+
+
+def _merge_column_inverse_ready(smo: SmoSpec, functions: FunctionRegistry) -> bool:
+    name = smo.param("function")
+    return functions.has(name) and functions.has_inverse(name)
+
+
+def _split_column_inverse_ready(smo: SmoSpec, functions: FunctionRegistry) -> bool:
+    recombine = smo.param("recombine", required=False)
+    return bool(recombine) and functions.has(recombine)
 
 
 def compile_inverse(
@@ -878,99 +769,81 @@ def compile_inverse(
     """Strongest inverse plan the available resources permit.
 
     Always returns a plan; configurations that cannot promise reconstruction
-    come back flagged rather than failing.
+    come back flagged rather than failing.  The plan's dependencies are the
+    operator's own inverse dependencies followed by the forward mapping's
+    identity dependencies, which map every untouched relation back onto
+    itself.
     """
-    forward = compile_forward(smo, source)
-    builder = _INVERSE[smo.kind]
-    return builder(smo, source, forward, provenance_level,
-                   side_tables_available, inverse_function_available)
+    forward, tail = _forward(smo, source)
+    tgds, fields = OPERATORS[smo.kind].inverse(
+        smo, source, forward, provenance_level, side_tables_available,
+        inverse_function_available)
+    mapping = SchemaMapping(forward.target, source, tuple(tgds) + tail)
+    return InversePlan(smo=smo, mapping=mapping, **fields)
 
 
-def _inverse_identities(forward: SchemaMapping,
-                        except_for: Sequence[str]) -> list[StTgd]:
-    skip = set(except_for)
-    out = []
-    for rel in forward.target.relations:
-        if rel.name in skip:
-            continue
-        if forward.source.has(rel.name) and (
-            forward.source.relation(rel.name).arity == rel.arity
-        ):
-            out.append(_identity_tgd(rel))
-    return out
+def _expanded(level: str) -> dict:
+    """Plan fields of a projection inverse: under why or how provenance the
+    rows the forward step merged are first re-expanded by witness count."""
+    if level in ("why", "how"):
+        return {"expand_before": True, "required_provenance": "why"}
+    return {}
 
 
-def _plain_plan(smo, forward, tgds, **kw) -> InversePlan:
-    mapping = SchemaMapping(forward.target, forward.source, tuple(tgds))
-    return InversePlan(smo=smo, mapping=mapping, **kw)
+def _no_dependencies(smo, source, forward, level, side, invfn):
+    return [], {}
 
 
-def _inverse_copy_table(smo, source, forward, level, side, invfn) -> InversePlan:
+def _inverse_copy_table(smo, source, forward, level, side, invfn):
     rel = source.relation(smo.param("table"))
     copy_name = smo.param("copy")
     kept_name = smo.param("kept", default=rel.name)
     vars_ = tuple(Variable(v) for v in variable_names(rel.arity))
     head = (Atom(rel.name, vars_),)
     if smo.variant == 1:
-        tgds = [StTgd((Atom(kept_name, vars_), Atom(copy_name, vars_)), head)]
-    else:
-        tgds = [StTgd((Atom(kept_name, vars_),), head),
-                StTgd((Atom(copy_name, vars_),), head)]
-    tgds += _inverse_identities(forward, [kept_name, copy_name])
-    return _plain_plan(smo, forward, tgds)
+        return [StTgd((Atom(kept_name, vars_), Atom(copy_name, vars_)), head)], {}
+    return [StTgd((Atom(kept_name, vars_),), head),
+            StTgd((Atom(copy_name, vars_),), head)], {}
 
 
-def _inverse_create_table(smo, source, forward, level, side, invfn) -> InversePlan:
-    name = smo.param("table")
-    tgds = _inverse_identities(forward, [name])
-    return _plain_plan(smo, forward, tgds)
-
-
-def _inverse_decompose(smo, source, forward, level, side, invfn) -> InversePlan:
+def _inverse_decompose(smo, source, forward, level, side, invfn):
     rel = source.relation(smo.param("table"))
-    parts = smo.param("parts")
-    p1 = RelationSchema(parts[0]["name"], tuple(parts[0]["attributes"]))
-    p2 = RelationSchema(parts[1]["name"], tuple(parts[1]["attributes"]))
+    p1, p2 = (RelationSchema(p["name"], tuple(p["attributes"]))
+              for p in smo.param("parts"))
     varmap = _attr_vars(rel)
     tgd = StTgd(
         body=(Atom(p1.name, tuple(varmap[a] for a in p1.attributes)),
               Atom(p2.name, tuple(varmap[a] for a in p2.attributes))),
         head=(Atom(rel.name, tuple(varmap[a] for a in rel.attributes)),),
     )
-    tgds = [tgd] + _inverse_identities(forward, [p1.name, p2.name])
     if level in ("why", "how"):
-        return _plain_plan(
-            smo, forward, tgds,
-            restrict=RestrictByOrigin("common_origin", (rel.name,)),
-            required_provenance="why",
-            notes=("join restricted to part pairs sharing a source row",),
-        )
-    return _plain_plan(smo, forward, tgds)
+        return [tgd], {
+            "restrict": RestrictByOrigin("common_origin", (rel.name,)),
+            "required_provenance": "why",
+            "notes": ("join restricted to part pairs sharing a source row",),
+        }
+    return [tgd], {}
 
 
-def _inverse_drop_table(smo, source, forward, level, side, invfn) -> InversePlan:
-    rel = source.relation(smo.param("table"))
-    tgds = _inverse_identities(forward, [rel.name])
+def _inverse_drop_table(smo, source, forward, level, side, invfn):
     if side and level != "none":
-        spec = side_table_specs(smo, source)[0]
-        return _plain_plan(
-            smo, forward, tgds,
-            appends=(AppendSideRows(spec.name, rel.name),),
-            required_provenance="where",
-            required_side_tables=(spec,),
-            notes=("dropped rows return as all-null placeholders, "
-                   "one per recorded id",),
-        )
-    return _plain_plan(smo, forward, tgds)
+        (spec,) = _drop_table_side_tables(smo, source)
+        return [], {
+            "appends": (AppendSideRows(spec.name, spec.relation),),
+            "required_provenance": "where",
+            "required_side_tables": (spec,),
+            "notes": ("dropped rows return as all-null placeholders, "
+                      "one per recorded id",),
+        }
+    return [], {}
 
 
-def _inverse_join(smo, source, forward, level, side, invfn) -> InversePlan:
+def _inverse_join(smo, source, forward, level, side, invfn):
     left = source.relation(smo.param("left"))
     right = source.relation(smo.param("right"))
     lcol, rcol = smo.param("left_column"), smo.param("right_column")
     target_rel = forward.target.relation(smo.param("target"))
     tv = tuple(Variable(v) for v in variable_names(target_rel.arity))
-    left_terms = tv[: left.arity]
     join_var = tv[left.position(lcol)]
     rest_right = [a for a in right.attributes if a != rcol]
     right_terms = tuple(
@@ -979,60 +852,46 @@ def _inverse_join(smo, source, forward, level, side, invfn) -> InversePlan:
     )
     tgd = StTgd(
         body=(Atom(target_rel.name, tv),),
-        head=(Atom(left.name, left_terms), Atom(right.name, right_terms)),
+        head=(Atom(left.name, tv[: left.arity]), Atom(right.name, right_terms)),
     )
-    tgds = [tgd] + _inverse_identities(forward, [target_rel.name])
     if side and level != "none":
-        specs = side_table_specs(smo, source)
-        return _plain_plan(
-            smo, forward, tgds,
-            appends=tuple(AppendSideRows(s.name, s.relation) for s in specs),
-            required_provenance="where",
-            required_side_tables=specs,
-            notes=("dangling rows restored from side tables",),
-        )
-    return _plain_plan(smo, forward, tgds)
+        specs = _join_side_tables(smo, source)
+        return [tgd], {
+            "appends": tuple(AppendSideRows(s.name, s.relation) for s in specs),
+            "required_provenance": "where",
+            "required_side_tables": specs,
+            "notes": ("dangling rows restored from side tables",),
+        }
+    return [tgd], {}
 
 
-def _inverse_merge_table(smo, source, forward, level, side, invfn) -> InversePlan:
-    left = source.relation(smo.param("left"))
-    right = source.relation(smo.param("right"))
+def _inverse_merge_table(smo, source, forward, level, side, invfn):
+    left, right = smo.param("left"), smo.param("right")
     target_rel = forward.target.relation(smo.param("target"))
     vars_ = tuple(Variable(v) for v in variable_names(target_rel.arity))
     body = (Atom(target_rel.name, vars_),)
-    tgds = [
-        StTgd(body, (Atom(left.name, vars_),)),
-        StTgd(body, (Atom(right.name, vars_),)),
-    ] + _inverse_identities(forward, [target_rel.name])
+    tgds = [StTgd(body, (Atom(left, vars_),)),
+            StTgd(body, (Atom(right, vars_),))]
     if level != "none":
-        return _plain_plan(
-            smo, forward, tgds,
-            restrict=RestrictByOrigin("per_relation", (left.name, right.name)),
-            required_provenance="where",
-            notes=("rows kept only in the table their origins come from",),
-        )
-    return _plain_plan(smo, forward, tgds)
+        return tgds, {
+            "restrict": RestrictByOrigin("per_relation", (left, right)),
+            "required_provenance": "where",
+            "notes": ("rows kept only in the table their origins come from",),
+        }
+    return tgds, {}
 
 
-def _inverse_partition(smo, source, forward, level, side, invfn) -> InversePlan:
+def _inverse_partition(smo, source, forward, level, side, invfn):
     rel = source.relation(smo.param("table"))
-    t1, t2 = smo.param("targets")
     vars_ = tuple(Variable(v) for v in variable_names(rel.arity))
     head = (Atom(rel.name, vars_),)
-    tgds = [
-        StTgd((Atom(t1, vars_),), head),
-        StTgd((Atom(t2, vars_),), head),
-    ] + _inverse_identities(forward, [t1, t2])
-    return _plain_plan(smo, forward, tgds)
+    return [StTgd((Atom(t, vars_),), head) for t in smo.param("targets")], {}
 
 
-def _inverse_rename_table(smo, source, forward, level, side, invfn) -> InversePlan:
+def _inverse_rename_table(smo, source, forward, level, side, invfn):
     rel = source.relation(smo.param("table"))
-    new_name = smo.param("to")
-    renamed = forward.target.relation(new_name)
-    tgds = [_identity_tgd(renamed, target_name=rel.name)]
-    tgds += _inverse_identities(forward, [new_name])
-    return _plain_plan(smo, forward, tgds)
+    return [_identity_tgd(forward.target.relation(smo.param("to")),
+                          target_name=rel.name)], {}
 
 
 def _existential_names(count: int) -> list[str]:
@@ -1063,179 +922,118 @@ def _projection_inverse(rel_out: RelationSchema, rel_in: RelationSchema,
     )
 
 
-def _inverse_add_column(smo, source, forward, level, side, invfn) -> InversePlan:
+def _refill_rule(rel: RelationSchema, column: str, table: str) -> SideLookupRule:
+    """Rebuild ``rel`` rows from rows lacking ``column``, whose value is read
+    from the side table ``table``."""
+    varmap = _attr_vars(rel)
+    head_terms = tuple(
+        Variable("C") if a == column else varmap[a] for a in rel.attributes
+    )
+    body_terms = tuple(varmap[a] for a in rel.attributes if a != column)
+    return SideLookupRule(
+        StTgd(body=(Atom(rel.name, body_terms),),
+              head=(Atom(rel.name, head_terms),),
+              existential_vars=frozenset({"C"})),
+        table=table,
+        bindings={"C": column},
+    )
+
+
+def _inverse_drop_added_column(smo, source, forward, level, side, invfn):
+    """ADD_COLUMN and COPY_COLUMN: project the widened relation back."""
+    rel = source.relation(smo.param("relation"))
+    return [_projection(forward.target.relation(rel.name), rel)], {}
+
+
+def _inverse_drop_column(smo, source, forward, level, side, invfn):
     rel = source.relation(smo.param("relation"))
     column = smo.param("column")
-    widened = forward.target.relation(rel.name)
-    varmap = _attr_vars(widened)
-    tgd = StTgd(
-        body=(Atom(rel.name, tuple(varmap[a] for a in widened.attributes)),),
-        head=(Atom(rel.name, tuple(varmap[a] for a in rel.attributes)),),
-    )
-    tgds = [tgd] + _inverse_identities(forward, [rel.name])
-    return _plain_plan(smo, forward, tgds)
-
-
-def _inverse_copy_column(smo, source, forward, level, side, invfn) -> InversePlan:
-    rel = source.relation(smo.param("relation"))
-    widened = forward.target.relation(rel.name)
-    varmap = _attr_vars(widened)
-    tgd = StTgd(
-        body=(Atom(rel.name, tuple(varmap[a] for a in widened.attributes)),),
-        head=(Atom(rel.name, tuple(varmap[a] for a in rel.attributes)),),
-    )
-    tgds = [tgd] + _inverse_identities(forward, [rel.name])
-    return _plain_plan(smo, forward, tgds)
-
-
-def _inverse_drop_column(smo, source, forward, level, side, invfn) -> InversePlan:
-    rel = source.relation(smo.param("relation"))
-    column = smo.param("column")
-    narrowed = forward.target.relation(rel.name)
-    exist_tgd = _projection_inverse(narrowed, rel, [column])
-    identities = _inverse_identities(forward, [rel.name])
     if level in ("why", "how") and side:
-        spec = side_table_specs(smo, source)[0]
-        varmap = _attr_vars(rel)
-        head_terms = tuple(
-            Variable("C") if a == column else varmap[a] for a in rel.attributes
-        )
-        body_terms = tuple(varmap[a] for a in rel.attributes if a != column)
-        lookup = SideLookupRule(
-            StTgd(body=(Atom(rel.name, body_terms),),
-                  head=(Atom(rel.name, head_terms),),
-                  existential_vars=frozenset({"C"})),
-            table=spec.name,
-            bindings={"C": column},
-        )
-        return _plain_plan(
-            smo, forward, identities,
-            lookups=(lookup,),
-            expand_before=True,
-            required_provenance="why",
-            required_side_tables=(spec,),
-            notes=("dropped values restored from the side table",),
-        )
-    plan_tgds = [exist_tgd] + identities
-    if level in ("why", "how"):
-        return _plain_plan(smo, forward, plan_tgds, expand_before=True,
-                           required_provenance="why")
-    return _plain_plan(smo, forward, plan_tgds)
+        (spec,) = _drop_column_side_tables(smo, source)
+        return [], {
+            "lookups": (_refill_rule(rel, column, spec.name),),
+            "expand_before": True,
+            "required_provenance": "why",
+            "required_side_tables": (spec,),
+            "notes": ("dropped values restored from the side table",),
+        }
+    narrowed = forward.target.relation(rel.name)
+    return [_projection_inverse(narrowed, rel, [column])], _expanded(level)
 
 
-def _inverse_merge_column(smo, source, forward, level, side, invfn) -> InversePlan:
+def _inverse_merge_column(smo, source, forward, level, side, invfn):
     rel = source.relation(smo.param("relation"))
     c1, c2 = smo.param("columns")
-    target_column = smo.param("target_column")
     function = smo.param("function")
     merged = forward.target.relation(smo.param("target", default=rel.name))
-    identities = _inverse_identities(forward, [merged.name])
-    mv = _attr_vars(merged)
     if level in ("why", "how") and side and invfn:
-        head_terms: list[Term] = []
-        for a in rel.attributes:
-            if a == c1:
-                head_terms.append(
-                    FunctionTerm(function, (mv[target_column], Variable("C")),
-                                 inverse=True)
-                )
-            elif a == c2:
-                head_terms.append(Variable("C"))
-            else:
-                head_terms.append(mv[a])
+        mv = _attr_vars(merged)
+        inverse = FunctionTerm(function, (mv[smo.param("target_column")],
+                                          Variable("C")), inverse=True)
+        head_terms = tuple(
+            inverse if a == c1 else Variable("C") if a == c2 else mv[a]
+            for a in rel.attributes
+        )
+        specs = _merge_column_side_tables(smo, source)
         lookup = SideLookupRule(
             StTgd(body=(Atom(merged.name,
                              tuple(mv[a] for a in merged.attributes)),),
-                  head=(Atom(rel.name, tuple(head_terms)),),
+                  head=(Atom(rel.name, head_terms),),
                   existential_vars=frozenset({"C"})),
-            table=side_table_specs(smo, source)[0].name,
+            table=specs[0].name,
             bindings={"C": c2},
         )
-        return _plain_plan(
-            smo, forward, identities,
-            lookups=(lookup,),
-            expand_before=True,
-            required_provenance="why",
-            required_side_tables=side_table_specs(smo, source),
-            requires_inverse_function=True,
-            notes=("merged values recomputed with the inverse function and "
-                   "the side table",),
-        )
-    exist_tgd = _projection_inverse(merged, rel, [c1, c2])
-    plan_tgds = [exist_tgd] + identities
-    notes: tuple[str, ...] = ()
-    if level in ("why", "how") and side and not invfn:
-        notes = (f"downgraded: no inverse registered for {function!r}, "
-                 f"merged values stay null",)
-    if level in ("why", "how"):
-        return _plain_plan(smo, forward, plan_tgds, expand_before=True,
-                           required_provenance="why", notes=notes)
-    return _plain_plan(smo, forward, plan_tgds, notes=notes)
+        return [], {
+            "lookups": (lookup,),
+            "expand_before": True,
+            "required_provenance": "why",
+            "required_side_tables": specs,
+            "requires_inverse_function": True,
+            "notes": ("merged values recomputed with the inverse function and "
+                      "the side table",),
+        }
+    fields = _expanded(level)
+    if level in ("why", "how") and side:
+        fields["notes"] = (f"downgraded: no inverse registered for {function!r}, "
+                           f"merged values stay null",)
+    return [_projection_inverse(merged, rel, [c1, c2])], fields
 
 
-def _inverse_move_column(smo, source, forward, level, side, invfn) -> InversePlan:
+def _inverse_move_column(smo, source, forward, level, side, invfn):
     receiver = source.relation(smo.param("relation"))
     partner = source.relation(smo.param("source"))
     moved = smo.param("column")
-    new_name = smo.param("as", default=moved)
-    widened = forward.target.relation(receiver.name)
-    reduced = forward.target.relation(partner.name)
-    wv = _attr_vars(widened)
-    receiver_tgd = StTgd(
-        body=(Atom(widened.name, tuple(wv[a] for a in widened.attributes)),),
-        head=(Atom(receiver.name,
-                   tuple(wv[a] for a in receiver.attributes)),),
-    )
-    identities = _inverse_identities(forward, [receiver.name, partner.name])
+    receiver_tgd = _projection(forward.target.relation(receiver.name), receiver)
     if side and level in ("why", "how"):
-        specs = side_table_specs(smo, source)
-        pv = _attr_vars(partner)
-        head_terms = tuple(
-            Variable("C") if a == moved else pv[a] for a in partner.attributes
-        )
-        body_terms = tuple(pv[a] for a in partner.attributes if a != moved)
-        lookup = SideLookupRule(
-            StTgd(body=(Atom(partner.name, body_terms),),
-                  head=(Atom(partner.name, head_terms),),
-                  existential_vars=frozenset({"C"})),
-            table=specs[1].name,
-            bindings={"C": moved},
-        )
-        return _plain_plan(
-            smo, forward, [receiver_tgd] + identities,
-            lookups=(lookup,),
-            expand_before=True,
-            appends=(AppendSideRows(specs[0].name, receiver.name),),
-            required_provenance="why",
-            required_side_tables=specs,
-            notes=("moved values restored from the side table; dangling "
-                   "receiver rows appended",),
-        )
-    partner_tgd = _projection_inverse(reduced, partner, [moved])
-    flagged = level == "none" and not side
-    return _plain_plan(
-        smo, forward, [receiver_tgd, partner_tgd] + identities,
-        flagged_non_invertible=flagged,
-        notes=("moved values cannot be recovered without side tables",),
-    )
+        specs = _move_column_side_tables(smo, source)
+        return [receiver_tgd], {
+            "lookups": (_refill_rule(partner, moved, specs[1].name),),
+            "expand_before": True,
+            "appends": (AppendSideRows(specs[0].name, receiver.name),),
+            "required_provenance": "why",
+            "required_side_tables": specs,
+            "notes": ("moved values restored from the side table; dangling "
+                      "receiver rows appended",),
+        }
+    reduced = forward.target.relation(partner.name)
+    return [receiver_tgd, _projection_inverse(reduced, partner, [moved])], {
+        "flagged_non_invertible": level == "none" and not side,
+        "notes": ("moved values cannot be recovered without side tables",),
+    }
 
 
-def _inverse_rename_column(smo, source, forward, level, side, invfn) -> InversePlan:
-    rel = source.relation(smo.param("relation"))
-    renamed = forward.target.relation(rel.name)
-    tgds = [_identity_tgd(renamed)] + _inverse_identities(forward, [rel.name])
-    return _plain_plan(smo, forward, tgds)
+def _inverse_rename_column(smo, source, forward, level, side, invfn):
+    return [_identity_tgd(source.relation(smo.param("relation")))], {}
 
 
-def _inverse_split_column(smo, source, forward, level, side, invfn) -> InversePlan:
+def _inverse_split_column(smo, source, forward, level, side, invfn):
     rel = source.relation(smo.param("relation"))
     column = smo.param("column")
-    b, c = smo.param("target_columns")
     recombine = smo.param("recombine", required=False)
     split_rel = forward.target.relation(smo.param("target", default=rel.name))
-    identities = _inverse_identities(forward, [split_rel.name])
-    sv = _attr_vars(split_rel)
     if invfn and recombine:
+        sv = _attr_vars(split_rel)
+        b, c = smo.param("target_columns")
         head_terms = tuple(
             FunctionTerm(recombine, (sv[b], sv[c])) if a == column else sv[a]
             for a in rel.attributes
@@ -1245,41 +1043,12 @@ def _inverse_split_column(smo, source, forward, level, side, invfn) -> InversePl
                        tuple(sv[a] for a in split_rel.attributes)),),
             head=(Atom(rel.name, head_terms),),
         )
-        return _plain_plan(
-            smo, forward, [tgd] + identities,
-            requires_inverse_function=True,
-            notes=("halves recombined with the registered function",),
-        )
-    exist_tgd = _projection_inverse(split_rel, rel, [column])
-    plan_tgds = [exist_tgd] + identities
-    if level in ("why", "how"):
-        return _plain_plan(smo, forward, plan_tgds, expand_before=True,
-                           required_provenance="why")
-    return _plain_plan(smo, forward, plan_tgds)
+        return [tgd], {
+            "requires_inverse_function": True,
+            "notes": ("halves recombined with the registered function",),
+        }
+    return [_projection_inverse(split_rel, rel, [column])], _expanded(level)
 
-
-def _inverse_nop(smo, source, forward, level, side, invfn) -> InversePlan:
-    return _plain_plan(smo, forward, _inverse_identities(forward, []))
-
-
-_INVERSE = {
-    COPY_TABLE: _inverse_copy_table,
-    CREATE_TABLE: _inverse_create_table,
-    DECOMPOSE_TABLE: _inverse_decompose,
-    DROP_TABLE: _inverse_drop_table,
-    JOIN_TABLE: _inverse_join,
-    MERGE_TABLE: _inverse_merge_table,
-    PARTITION_TABLE: _inverse_partition,
-    RENAME_TABLE: _inverse_rename_table,
-    ADD_COLUMN: _inverse_add_column,
-    COPY_COLUMN: _inverse_copy_column,
-    DROP_COLUMN: _inverse_drop_column,
-    MERGE_COLUMN: _inverse_merge_column,
-    MOVE_COLUMN: _inverse_move_column,
-    RENAME_COLUMN: _inverse_rename_column,
-    SPLIT_COLUMN: _inverse_split_column,
-    NOP: _inverse_nop,
-}
 
 # ---------------------------------------------------------------------------
 # instance features and predicted types
@@ -1293,46 +1062,54 @@ class InstanceFeatures:
 
 def instance_features(smo: SmoSpec, instance: Instance,
                       functions: FunctionRegistry | None = None) -> InstanceFeatures:
-    """Operator-relevant facts about a concrete source instance: danglings
-    (rows no trigger consumes) and duplicates (rows the operator's output
-    collapses)."""
-    functions = functions or default_registry()
+    """The features of a concrete source instance that the operator's
+    predicted type reads: danglings (rows no trigger consumes) for
+    ``JOIN_TABLE``, duplicates (rows the operator's output collapses) for
+    ``DECOMPOSE_TABLE``, ``DROP_COLUMN``, ``MERGE_COLUMN`` and
+    ``SPLIT_COLUMN``.  Every other operator's prediction reads none, and its
+    features stay at their defaults."""
+    features = OPERATORS[smo.kind].features
+    if features is None:
+        return InstanceFeatures()
+    return features(smo, instance, functions or default_registry())
+
+
+def _join_danglings(smo: SmoSpec, instance: Instance,
+                    functions: FunctionRegistry) -> InstanceFeatures:
+    matched = matched_source_ids(instance, compile_forward(smo, instance.schema))
+    return InstanceFeatures(has_dangling=any(
+        f.id not in matched
+        for r in (smo.param("left"), smo.param("right"))
+        for f in instance.facts(r)
+    ))
+
+
+def _collapsed_rows(smo: SmoSpec, instance: Instance,
+                    functions: FunctionRegistry) -> InstanceFeatures:
+    """Whether two source rows chase to one output row (DROP_COLUMN,
+    MERGE_COLUMN, SPLIT_COLUMN)."""
     forward = compile_forward(smo, instance.schema)
-    if smo.kind in (JOIN_TABLE, COPY_COLUMN, MOVE_COLUMN):
-        if smo.kind == JOIN_TABLE:
-            rels = (smo.param("left"), smo.param("right"))
-        else:
-            rels = (smo.param("relation"),)
-        matched = matched_source_ids(instance, forward)
-        dangling = any(
-            f.id not in matched for r in rels for f in instance.facts(r)
-        )
-        return InstanceFeatures(has_dangling=dangling)
-    if smo.kind in (MERGE_COLUMN, DROP_COLUMN, SPLIT_COLUMN):
-        target_rel = {
-            MERGE_COLUMN: smo.param("target", default=smo.param("relation")),
-            DROP_COLUMN: smo.param("relation"),
-            SPLIT_COLUMN: smo.param("target", default=smo.param("relation")),
-        }[smo.kind]
-        out, store = chase(instance, forward, "why", functions)
-        dup = any(
-            len(store.witnesses(f.id) or ()) > 1 for f in out.facts(target_rel)
-        )
-        return InstanceFeatures(has_duplicates=dup)
-    if smo.kind == DECOMPOSE_TABLE:
-        rel = instance.schema.relation(smo.param("table"))
-        parts = smo.param("parts")
-        shared = [a for a in parts[0]["attributes"] if a in parts[1]["attributes"]]
-        positions = [rel.position(a) for a in shared]
-        seen: set[tuple] = set()
-        dup = False
-        for fact in instance.facts(rel.name):
-            key = tuple(fact.values[p] for p in positions)
-            if key in seen:
-                dup = True
-                break
-            seen.add(key)
-        return InstanceFeatures(has_duplicates=dup)
+    output = forward.sigma[0].head[0].relation  # the operator's own dependency
+    out, store = chase(instance, forward, "why", functions)
+    return InstanceFeatures(has_duplicates=any(
+        len(store.witnesses(f.id) or ()) > 1 for f in out.facts(output)
+    ))
+
+
+def _shared_key_duplicates(smo: SmoSpec, instance: Instance,
+                           functions: FunctionRegistry) -> InstanceFeatures:
+    """Whether two rows agree on the attributes both decomposition parts
+    keep (DECOMPOSE_TABLE)."""
+    rel = instance.schema.relation(smo.param("table"))
+    parts = smo.param("parts")
+    shared = [a for a in parts[0]["attributes"] if a in parts[1]["attributes"]]
+    positions = [rel.position(a) for a in shared]
+    seen: set[tuple] = set()
+    for fact in instance.facts(rel.name):
+        key = tuple(fact.values[p] for p in positions)
+        if key in seen:
+            return InstanceFeatures(has_duplicates=True)
+        seen.add(key)
     return InstanceFeatures()
 
 
@@ -1344,114 +1121,216 @@ def predicted_inverse_type(
     features: InstanceFeatures = InstanceFeatures(),
 ) -> InverseType:
     """Guaranteed lower bound on the classification a roundtrip achieves."""
-    k = smo.kind
-    expandable = provenance_level in ("why", "how")
-    if k in CLASS_I:
+    return OPERATORS[smo.kind].predict(
+        provenance_level, side_tables_available, inverse_function_available,
+        features)
+
+
+def _predict_exact(level, side, invfn, features) -> InverseType:
+    return InverseType.EXACT
+
+
+def _predict_join(level, side, invfn, features) -> InverseType:
+    if side and level != "none":
         return InverseType.EXACT
-    if k == JOIN_TABLE:
-        if side_tables_available and provenance_level != "none":
-            return InverseType.EXACT
-        return InverseType.RELAXED if features.has_dangling else InverseType.EXACT
-    if k == MERGE_TABLE:
-        if provenance_level != "none":
-            return InverseType.EXACT
+    return InverseType.RELAXED if features.has_dangling else InverseType.EXACT
+
+
+def _predict_merge_table(level, side, invfn, features) -> InverseType:
+    if level != "none":
+        return InverseType.EXACT
+    return InverseType.RESULT_EQUIVALENT
+
+
+def _predict_drop_table(level, side, invfn, features) -> InverseType:
+    if side and level != "none":
+        return InverseType.TP_RELAXED
+    return InverseType.RELAXED
+
+
+def _predict_move_column(level, side, invfn, features) -> InverseType:
+    if side and level in ("why", "how"):
+        return InverseType.EXACT
+    return InverseType.NONE
+
+
+def _predict_decompose(level, side, invfn, features) -> InverseType:
+    if level in ("why", "how"):
+        return InverseType.TP_RELAXED
+    if features.has_duplicates:
         return InverseType.RESULT_EQUIVALENT
-    if k == DROP_TABLE:
-        if side_tables_available and provenance_level != "none":
-            return InverseType.TP_RELAXED
-        return InverseType.RELAXED
-    if k == MOVE_COLUMN:
-        if side_tables_available and expandable:
-            return InverseType.EXACT
-        return InverseType.NONE
-    if k == DECOMPOSE_TABLE:
-        if expandable:
-            return InverseType.TP_RELAXED
-        if features.has_duplicates:
-            return InverseType.RESULT_EQUIVALENT
+    return InverseType.EXACT
+
+
+def _projected(level: str, features: InstanceFeatures) -> InverseType:
+    """A projection inverse keeps tuples when witness counts re-expand the
+    merged rows (why/how) or when no rows merged."""
+    if level in ("why", "how") or not features.has_duplicates:
+        return InverseType.TP_RELAXED
+    return InverseType.RELAXED
+
+
+def _predict_split_column(level, side, invfn, features) -> InverseType:
+    if invfn:
         return InverseType.EXACT
-    if k == SPLIT_COLUMN:
-        if inverse_function_available:
-            return InverseType.EXACT
-        if expandable:
-            return InverseType.TP_RELAXED
-        return (InverseType.RELAXED if features.has_duplicates
-                else InverseType.TP_RELAXED)
-    if k == MERGE_COLUMN:
-        if expandable and side_tables_available and inverse_function_available:
-            return InverseType.EXACT
-        if expandable:
-            return InverseType.TP_RELAXED
-        return (InverseType.RELAXED if features.has_duplicates
-                else InverseType.TP_RELAXED)
-    if k == DROP_COLUMN:
-        if expandable and side_tables_available:
-            return InverseType.EXACT
-        if expandable:
-            return InverseType.TP_RELAXED
-        return (InverseType.RELAXED if features.has_duplicates
-                else InverseType.TP_RELAXED)
-    raise ValidationError(f"unknown operator kind {k!r}")
+    return _projected(level, features)
+
+
+def _predict_merge_column(level, side, invfn, features) -> InverseType:
+    if level in ("why", "how") and side and invfn:
+        return InverseType.EXACT
+    return _projected(level, features)
+
+
+def _predict_drop_column(level, side, invfn, features) -> InverseType:
+    if level in ("why", "how") and side:
+        return InverseType.EXACT
+    return _projected(level, features)
 
 
 # ---------------------------------------------------------------------------
-# catalog display
+# the catalog
 
 
-_DEMO_SCHEMAS = {
-    COPY_TABLE: (Schema.of(RelationSchema("R", ("a1", "a2", "a3"))),
-                 {"table": "R", "copy": "V", "kept": "R'"}),
-    CREATE_TABLE: (Schema.of(RelationSchema("R", ("a1", "a2"))),
-                   {"table": "V", "attributes": ["b1", "b2"]}),
-    DECOMPOSE_TABLE: (Schema.of(RelationSchema("R", ("a1", "a2", "a3"))),
-                      {"table": "R",
-                       "parts": [{"name": "R1", "attributes": ["a1", "a2"]},
-                                 {"name": "R2", "attributes": ["a1", "a3"]}]}),
-    DROP_TABLE: (Schema.of(RelationSchema("R", ("a1", "a2")),
-                           RelationSchema("V", ("b1", "b2"))),
-                 {"table": "R"}),
-    JOIN_TABLE: (Schema.of(RelationSchema("R", ("id", "name")),
-                           RelationSchema("V", ("name", "subject"))),
-                 {"left": "R", "right": "V", "left_column": "name",
-                  "right_column": "name", "target": "T"}),
-    MERGE_TABLE: (Schema.of(RelationSchema("R", ("a1", "a2", "a3")),
-                            RelationSchema("V", ("a1", "a2", "a3"))),
-                  {"left": "R", "right": "V", "target": "T"}),
-    PARTITION_TABLE: (Schema.of(RelationSchema("R", ("id", "name", "subject"))),
-                      {"table": "R",
-                       "condition": {"attribute": "subject", "op": "=",
-                                     "value": "Math"},
-                       "targets": ["T1", "T2"]}),
-    RENAME_TABLE: (Schema.of(RelationSchema("R", ("a1", "a2"))),
-                   {"table": "R", "to": "V"}),
-    ADD_COLUMN: (Schema.of(RelationSchema("R", ("a1", "a2"))),
-                 {"relation": "R", "column": "a3",
-                  "filler": {"function": "concat_pipe", "args": ["a1", "a2"]}}),
-    COPY_COLUMN: (Schema.of(RelationSchema("R", ("id", "name")),
-                            RelationSchema("V", ("name", "subject"))),
-                  {"relation": "R", "source": "V",
-                   "join": {"column": "name", "source_column": "name"},
-                   "column": "subject"}),
-    DROP_COLUMN: (Schema.of(RelationSchema("R", ("a1", "a2", "a3"))),
-                  {"relation": "R", "column": "a3"}),
-    MERGE_COLUMN: (Schema.of(RelationSchema("R", ("name", "mod1", "mod2"))),
-                   {"relation": "R", "columns": ["mod1", "mod2"],
-                    "target_column": "sum", "function": "dec_add",
-                    "target": "T"}),
-    MOVE_COLUMN: (Schema.of(RelationSchema("R", ("id", "name")),
-                            RelationSchema("V", ("name", "subject"))),
-                  {"relation": "R", "source": "V",
-                   "join": {"column": "name", "source_column": "name"},
-                   "column": "subject"}),
-    RENAME_COLUMN: (Schema.of(RelationSchema("R", ("a1", "a2"))),
-                    {"relation": "R", "column": "a2", "to": "b2"}),
-    SPLIT_COLUMN: (Schema.of(RelationSchema("R", ("name", "code"))),
-                   {"relation": "R", "column": "code",
-                    "target_columns": ["head", "tail"],
-                    "functions": ["split_pipe_head", "split_pipe_tail"],
-                    "recombine": "concat_pipe", "target": "T"}),
-    NOP: (Schema.of(RelationSchema("R", ("a1", "a2"))), {}),
+@dataclass(frozen=True)
+class Operator:
+    """One schema-modification operator.
+
+    ``forward(smo, source)`` returns the target schema, the operator's own
+    dependencies and the names of the source relations it touches.
+    ``inverse(smo, source, forward, level, side, invfn)`` returns the
+    operator's own inverse dependencies and the other ``InversePlan`` fields
+    for a provenance level, side-table and inverse-function availability.
+    ``predict(level, side, invfn, features)`` is the predicted inverse type.
+    ``features`` computes the ``InstanceFeatures`` that ``predict`` reads.
+    """
+
+    classes: tuple[str, ...]
+    inverse_kinds: tuple[str, ...]
+    description: str
+    forward: Callable
+    inverse: Callable
+    demo: tuple[Schema, dict]  # a small schema and parameters for the catalog
+    variants: int = 1
+    side_tables: Callable = _no_side_tables
+    inverse_function_ready: Callable = _no_inverse_function
+    features: Callable | None = None
+    predict: Callable = _predict_exact  # class I: exact everywhere
+
+
+def _rel(name: str, *attributes: str) -> RelationSchema:
+    return RelationSchema(name, attributes)
+
+
+_PAIR = Schema.of(_rel("R", "id", "name"), _rel("V", "name", "subject"))
+_PARTNER_JOIN = {"relation": "R", "source": "V",
+                 "join": {"column": "name", "source_column": "name"},
+                 "column": "subject"}
+
+OPERATORS: dict[str, Operator] = {
+    "COPY_TABLE": Operator(
+        ("I",), ("DROP_TABLE", "MERGE_TABLE"), "duplicate a table",
+        _forward_copy_table, _inverse_copy_table, variants=2,
+        demo=(Schema.of(_rel("R", "a1", "a2", "a3")),
+              {"table": "R", "copy": "V", "kept": "R'"})),
+    "CREATE_TABLE": Operator(
+        ("I",), ("DROP_TABLE",), "add a new, empty table",
+        _forward_create_table, _no_dependencies,
+        demo=(Schema.of(_rel("R", "a1", "a2")),
+              {"table": "V", "attributes": ["b1", "b2"]})),
+    "DECOMPOSE_TABLE": Operator(
+        ("III",), ("ADD_COLUMN", "JOIN_TABLE"),
+        "project a table onto two overlapping parts",
+        _forward_decompose, _inverse_decompose, variants=2,
+        features=_shared_key_duplicates, predict=_predict_decompose,
+        demo=(Schema.of(_rel("R", "a1", "a2", "a3")),
+              {"table": "R",
+               "parts": [{"name": "R1", "attributes": ["a1", "a2"]},
+                         {"name": "R2", "attributes": ["a1", "a3"]}]})),
+    "DROP_TABLE": Operator(
+        ("IV",), ("CREATE_TABLE",), "remove a table",
+        _forward_drop_table, _inverse_drop_table,
+        side_tables=_drop_table_side_tables, predict=_predict_drop_table,
+        demo=(Schema.of(_rel("R", "a1", "a2"), _rel("V", "b1", "b2")),
+              {"table": "R"})),
+    "JOIN_TABLE": Operator(
+        ("II",), ("DECOMPOSE_TABLE",), "fuse two tables along a join condition",
+        _forward_join, _inverse_join,
+        side_tables=_join_side_tables, features=_join_danglings,
+        predict=_predict_join,
+        demo=(_PAIR, {"left": "R", "right": "V", "left_column": "name",
+                      "right_column": "name", "target": "T"})),
+    "MERGE_TABLE": Operator(
+        ("IV",), ("PARTITION_TABLE",), "union two tables of equal shape into one",
+        _forward_merge_table, _inverse_merge_table,
+        predict=_predict_merge_table,
+        demo=(Schema.of(_rel("R", "a1", "a2", "a3"), _rel("V", "a1", "a2", "a3")),
+              {"left": "R", "right": "V", "target": "T"})),
+    "PARTITION_TABLE": Operator(
+        ("I",), ("MERGE_TABLE",), "split a table in two by a row condition",
+        _forward_partition, _inverse_partition,
+        demo=(Schema.of(_rel("R", "id", "name", "subject")),
+              {"table": "R",
+               "condition": {"attribute": "subject", "op": "=", "value": "Math"},
+               "targets": ["T1", "T2"]})),
+    "RENAME_TABLE": Operator(
+        ("I",), ("RENAME_TABLE",), "change a table name",
+        _forward_rename_table, _inverse_rename_table,
+        demo=(Schema.of(_rel("R", "a1", "a2")), {"table": "R", "to": "V"})),
+    "ADD_COLUMN": Operator(
+        ("I",), ("DROP_COLUMN",),
+        "append a column filled by a constant, a function, or nulls",
+        _forward_add_column, _inverse_drop_added_column, variants=2,
+        demo=(Schema.of(_rel("R", "a1", "a2")),
+              {"relation": "R", "column": "a3",
+               "filler": {"function": "concat_pipe", "args": ["a1", "a2"]}})),
+    "COPY_COLUMN": Operator(
+        ("I",), ("DROP_COLUMN",), "pull a column in from a partner table via a join",
+        _forward_copy_column, _inverse_drop_added_column, variants=2,
+        demo=(_PAIR, _PARTNER_JOIN)),
+    "DROP_COLUMN": Operator(
+        ("III",), ("ADD_COLUMN",), "remove a column",
+        _forward_drop_column, _inverse_drop_column,
+        side_tables=_drop_column_side_tables, features=_collapsed_rows,
+        predict=_predict_drop_column,
+        demo=(Schema.of(_rel("R", "a1", "a2", "a3")),
+              {"relation": "R", "column": "a3"})),
+    "MERGE_COLUMN": Operator(
+        ("III",), ("SPLIT_COLUMN",), "replace two columns by a function of both",
+        _forward_merge_column, _inverse_merge_column,
+        side_tables=_merge_column_side_tables,
+        inverse_function_ready=_merge_column_inverse_ready,
+        features=_collapsed_rows, predict=_predict_merge_column,
+        demo=(Schema.of(_rel("R", "name", "mod1", "mod2")),
+              {"relation": "R", "columns": ["mod1", "mod2"],
+               "target_column": "sum", "function": "dec_add", "target": "T"})),
+    "MOVE_COLUMN": Operator(
+        ("II", "III"), ("MOVE_COLUMN",),
+        "like COPY_COLUMN, but the partner table loses the column",
+        _forward_move_column, _inverse_move_column,
+        side_tables=_move_column_side_tables, predict=_predict_move_column,
+        demo=(_PAIR, _PARTNER_JOIN)),
+    "RENAME_COLUMN": Operator(
+        ("I",), ("RENAME_COLUMN",), "change a column name",
+        _forward_rename_column, _inverse_rename_column,
+        demo=(Schema.of(_rel("R", "a1", "a2")),
+              {"relation": "R", "column": "a2", "to": "b2"})),
+    "SPLIT_COLUMN": Operator(
+        ("III",), ("MERGE_COLUMN",), "replace one column by two functions of it",
+        _forward_split_column, _inverse_split_column,
+        inverse_function_ready=_split_column_inverse_ready,
+        features=_collapsed_rows, predict=_predict_split_column,
+        demo=(Schema.of(_rel("R", "name", "code")),
+              {"relation": "R", "column": "code",
+               "target_columns": ["head", "tail"],
+               "functions": ["split_pipe_head", "split_pipe_tail"],
+               "recombine": "concat_pipe", "target": "T"})),
+    "NOP": Operator(
+        ("I",), ("NOP",), "do nothing", _forward_nop, _no_dependencies,
+        demo=(Schema.of(_rel("R", "a1", "a2")), {})),
 }
+
+ALL_KINDS = tuple(OPERATORS)
 
 
 def catalog_entries() -> list[dict]:
@@ -1460,16 +1339,16 @@ def catalog_entries() -> list[dict]:
     from .tgds import format_tgd
 
     entries = []
-    for kind in ALL_KINDS:
-        schema, params = _DEMO_SCHEMAS[kind]
+    for kind, op in OPERATORS.items():
+        schema, params = op.demo
         smo = SmoSpec(kind, params)
         forward = compile_forward(smo, schema)
         plan = compile_inverse(smo, schema, "how", True, True)
         entries.append({
             "kind": kind,
-            "class": "/".join(SMO_CLASS[kind]),
-            "description": DESCRIPTIONS[kind],
-            "inverse": "/".join(INVERSE_SMO[kind]),
+            "class": "/".join(op.classes),
+            "description": op.description,
+            "inverse": "/".join(op.inverse_kinds),
             "forward": [format_tgd(t) for t in forward.sigma],
             "inverse_tgds": [format_tgd(t) for t in plan.mapping.sigma]
                             + [format_tgd(r.tgd) for r in plan.lookups],

@@ -351,10 +351,6 @@ class Instance:
         return f"Instance({rels})"
 
 
-def empty_instance(schema: Schema) -> Instance:
-    return Instance(schema, {})
-
-
 def seed_allocators(*instances: Instance) -> tuple[NullAllocator, IdAllocator]:
     """Allocators that continue after every null label and tuple id the
     instances hold, in one pass over their facts."""

@@ -393,12 +393,13 @@ def backchase(
     inversions: list[StepInversion] = []
     for step in reversed(run.steps):
         side_avail = run.side_tables_enabled and bool(step.side_tables)
+        invfn = inverse_function_ready(step.smo, functions)
         plan = compile_inverse(
             step.smo,
             step.source.schema,
             run.provenance_mode,
             side_tables_available=side_avail,
-            inverse_function_available=inverse_function_ready(step.smo, functions),
+            inverse_function_available=invfn,
         )
         reconstructed = execute_plan(plan, step, current, functions, nulls, ids)
         classification = classify_report(step.source, reconstructed,
@@ -406,8 +407,7 @@ def backchase(
         achieved = InverseType.NONE if plan.flagged_non_invertible else classification.type
         features = instance_features(step.smo, step.source, functions)
         predicted = predicted_inverse_type(
-            step.smo, run.provenance_mode, side_avail,
-            inverse_function_ready(step.smo, functions), features,
+            step.smo, run.provenance_mode, side_avail, invfn, features,
         )
         inversions.append(StepInversion(step.index, step.smo, plan,
                                         reconstructed, classification,

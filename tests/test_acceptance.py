@@ -36,7 +36,7 @@ from backchase import (
 )
 from backchase import storage
 from backchase.analysis import at_least, strength, weakest
-from backchase.catalog import ALL_KINDS, SMO_CLASS
+from backchase.catalog import ALL_KINDS, OPERATORS
 from backchase.pipeline import backchase, evolve, roundtrip_report
 from support import (
     RESOURCE_CONFIGS,
@@ -183,7 +183,7 @@ def test_criterion_3_lower_bound():
             step = backchase(run).steps[0]
             assert at_least(step.achieved, step.predicted), (
                 kind, mode, side, step.achieved.value, step.predicted.value)
-            if SMO_CLASS[kind] == ("I",):
+            if OPERATORS[kind].classes == ("I",):
                 assert step.achieved == InverseType.EXACT, (kind, mode, side)
 
 

@@ -1,15 +1,20 @@
+import itertools
 import random
 
 import pytest
 
 from backchase import (
+    Fact,
+    Instance,
     InstanceFeatures,
     InverseType,
     SmoSpec,
+    TupleId,
     ValidationError,
     chase,
     compile_forward,
     compile_inverse,
+    const,
     instance_features,
     instances_equal,
     predicted_inverse_type,
@@ -19,17 +24,21 @@ from backchase import (
 from backchase.analysis import at_least
 from backchase.catalog import (
     ALL_KINDS,
-    SMO_CLASS,
+    OPERATORS,
     catalog_entries,
     inverse_function_ready,
     side_table_specs,
 )
 from backchase.functions import default_registry
+from backchase.model import relation_tag
 from backchase.pipeline import backchase, evolve
 from backchase.tgds import format_tgd
 from support import (
+    COPY_COL_PARAMS,
+    NUM_POOL,
     RESOURCE_CONFIGS,
     SMO_CASES,
+    TEXT_POOL,
     inst,
     naive_trigger_matches,
     random_ground_instance,
@@ -47,7 +56,7 @@ EXPECTED_CLASSES = {
 
 
 def test_class_assignment_matches_catalog():
-    assert SMO_CLASS == EXPECTED_CLASSES
+    assert {kind: op.classes for kind, op in OPERATORS.items()} == EXPECTED_CLASSES
     assert len(ALL_KINDS) == 16
 
 
@@ -278,3 +287,112 @@ def test_malformed_params_raise_validation_errors():
         compile_forward(SmoSpec("COPY_COLUMN", {
             "relation": "R", "source": "R", "join": "x=y",
             "column": "y"}), schema)
+
+
+def _rows(rng: random.Random, schema: Schema, pools: dict) -> Instance:
+    """1-6 rows per relation drawn with replacement, so that a relation may
+    hold the same values twice."""
+    facts = {}
+    for rel in schema.relations:
+        facts[rel.name] = [
+            Fact(TupleId(relation_tag(rel.name), i + 1),
+                 tuple(const(rng.choice(pools.get(a, TEXT_POOL)))
+                       for a in rel.attributes))
+            for i in range(rng.randint(1, 6))
+        ]
+    return Instance(schema, facts)
+
+
+def _collides(keys) -> bool:
+    return any(a == b for a, b in itertools.combinations(list(keys), 2))
+
+
+def test_join_danglings_match_naive_triggers():
+    rng = random.Random(71)
+    schema = Schema.of(RelationSchema("R", ("id", "name")),
+                       RelationSchema("V", ("name", "subject")),
+                       RelationSchema("W", ("name",)))
+    smo = SmoSpec("JOIN_TABLE", {"left": "R", "right": "V", "left_column": "name",
+                                 "right_column": "name", "target": "T"})
+    pools = {"name": ("a", "b", "c")}
+    mapping = compile_forward(smo, schema)
+    seen = set()
+    for _ in range(200):
+        instance = _rows(rng, schema, pools)
+        matched = {f.id for _, _, combo in naive_trigger_matches(instance, mapping)
+                   for f in combo}
+        dangling = any(f.id not in matched
+                       for rel in ("R", "V") for f in instance.facts(rel))
+        features = instance_features(smo, instance)
+        assert features == InstanceFeatures(has_dangling=dangling)
+        seen.add(dangling)
+    assert seen == {False, True}
+
+
+def _merge_key(fact, reg):
+    x, y, z = fact.values
+    return x, reg.call("dec_add", (y, z))
+
+
+def _split_key(fact, reg):
+    name, code = fact.values
+    return (name, reg.call("split_pipe_head", (code,)),
+            reg.call("split_pipe_tail", (code,)))
+
+
+# kind -> (params, schema, value pools, the row's vector in the operator's
+# output, computed without the chase)
+DUPLICATE_CASES = {
+    "DROP_COLUMN": ({"relation": "R", "column": "z"},
+                    Schema.of(RelationSchema("R", ("x", "y", "z"))), {},
+                    lambda fact, reg: fact.values[:2]),
+    "MERGE_COLUMN": ({"relation": "R", "columns": ["y", "z"],
+                      "target_column": "s", "function": "dec_add"},
+                     Schema.of(RelationSchema("R", ("x", "y", "z"))),
+                     {"x": ("a", "b"), "y": NUM_POOL, "z": NUM_POOL},
+                     _merge_key),
+    "SPLIT_COLUMN": ({"relation": "R", "column": "code",
+                      "target_columns": ["head", "tail"],
+                      "functions": ["split_pipe_head", "split_pipe_tail"],
+                      "target": "T"},
+                     Schema.of(RelationSchema("R", ("name", "code"))),
+                     {"name": ("a", "b"), "code": ("a|b", "a|c", "b|b")},
+                     _split_key),
+    "DECOMPOSE_TABLE": ({"table": "R",
+                         "parts": [{"name": "R1", "attributes": ["x", "y"]},
+                                   {"name": "R2", "attributes": ["z", "y"]}]},
+                        Schema.of(RelationSchema("R", ("x", "y", "z"))), {},
+                        lambda fact, reg: (fact.values[1],)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(DUPLICATE_CASES))
+def test_duplicates_match_brute_force_collisions(kind):
+    params, schema, pools, output_key = DUPLICATE_CASES[kind]
+    smo = SmoSpec(kind, params)
+    reg = default_registry()
+    rng = random.Random(73)
+    seen = set()
+    for _ in range(200):
+        instance = _rows(rng, schema, pools)
+        rows = instance.facts(schema.relations[0].name)
+        duplicates = _collides(output_key(f, reg) for f in rows)
+        features = instance_features(smo, instance, reg)
+        assert features == InstanceFeatures(has_duplicates=duplicates)
+        seen.add(duplicates)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize("kind", ["COPY_COLUMN", "MOVE_COLUMN"])
+def test_features_nothing_predicts_from_are_not_computed(kind):
+    """COPY_COLUMN is class I and MOVE_COLUMN's prediction reads only the
+    resources, so neither looks at the instance, danglings or not."""
+    smo = SmoSpec(kind, COPY_COL_PARAMS)
+    schema = Schema.of(RelationSchema("R", ("id", "name")),
+                       RelationSchema("V", ("name", "subject")))
+    instance = inst(schema, R=[("1", "a"), ("2", "zz")], V=[("a", "m")])
+    assert instance_features(smo, instance) == InstanceFeatures()
+    for features in (InstanceFeatures(), InstanceFeatures(True, True)):
+        for mode, side in RESOURCE_CONFIGS:
+            assert predicted_inverse_type(smo, mode, side, False, features) == (
+                predicted_inverse_type(smo, mode, side, False))

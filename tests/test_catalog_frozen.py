@@ -35,7 +35,7 @@ from backchase import (
     compile_inverse,
     predicted_inverse_type,
 )
-from backchase.catalog import ALL_KINDS, side_table_specs
+from backchase.catalog import ALL_KINDS, OPERATORS, side_table_specs
 from backchase.cli import main as cli_main
 from backchase.tgds import format_tgd
 from support import RESOURCE_CONFIGS, SMO_CASES, random_script
@@ -136,9 +136,7 @@ def catalog_stdout() -> str:
 
 
 def _demo_specs() -> list[tuple[str, Schema, dict]]:
-    from backchase.catalog import _DEMO_SCHEMAS
-
-    return [(kind, *_DEMO_SCHEMAS[kind]) for kind in ALL_KINDS]
+    return [(kind, *op.demo) for kind, op in OPERATORS.items()]
 
 
 def collect_specs() -> list[dict]:
