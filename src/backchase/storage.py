@@ -9,7 +9,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .catalog import SmoSpec, compile_forward, script_from_json, script_to_json
+from .catalog import (
+    SmoSpec,
+    compile_forward,
+    script_from_json,
+    script_to_json,
+    side_table_specs,
+)
 from .errors import ValidationError
 from .model import (
     Instance,
@@ -165,8 +171,8 @@ def load_run(run_dir: Path) -> EvolutionRun:
     """Read a run directory and check that it is one run: as many step
     directories as script steps, each step's source equal to the previous
     step's target (the initial instance for step 0), ``target.json`` equal
-    to the last step's target, and each step's instances and store fitting
-    its operator and the run's provenance mode.
+    to the last step's target, and each step's instances, store and side
+    tables fitting its operator and the run's provenance mode.
 
     Each instance file is read once; a file whose text equals the instance
     it must equal is not parsed again, and the already built instance is
@@ -226,9 +232,17 @@ def load_run(run_dir: Path) -> EvolutionRun:
         tables_obj = read_json(tables_path)
         if not isinstance(tables_obj, list):
             raise ValidationError(f"{tables_path} must hold a list of side tables")
+        specs = {spec.name: spec for spec in side_table_specs(smo, source.schema)}
         tables = {}
         for obj in tables_obj:
             table = side_table_from_json(obj)
+            spec = specs.get(table.name)
+            if spec is not None and table.attributes != spec.attributes:
+                raise ValidationError(
+                    f"{tables_path}: side table {table.name} has attributes "
+                    f"{list(table.attributes)}, {smo.kind} keeps "
+                    f"{list(spec.attributes)}"
+                )
             tables[table.name] = table
         steps.append(EvolutionStep(i, smo, mapping, source, target, store, tables))
         prev_path, prev_text, prev = target_path, target_text, target

@@ -135,14 +135,11 @@ def catalog_stdout() -> str:
     return out.getvalue()
 
 
-def _demo_specs() -> list[tuple[str, Schema, dict]]:
-    return [(kind, *op.demo) for kind, op in OPERATORS.items()]
-
-
 def collect_specs() -> list[dict]:
     """The specs the fixture freezes, in a fixed order."""
     specs = []
-    for kind, schema, params in _demo_specs():
+    for kind, op in OPERATORS.items():
+        schema, params = op.demo
         smo = SmoSpec(kind, params)
         specs.append(_spec_json(f"demo {kind}", schema, smo))
         padded = Schema((PAD_BEFORE,) + schema.relations + (PAD_AFTER,))

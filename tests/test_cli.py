@@ -327,6 +327,17 @@ def test_final_target_not_made_by_last_step_exits_2(tmp_path, fixtures_dir, caps
     assert_rejected(run, tmp_path, capsys, "are not what DROP_COLUMN makes")
 
 
+def test_side_table_with_other_attributes_exits_2(tmp_path, fixtures_dir, capsys):
+    # the lookup that restores the dropped column reads it by attribute name
+    run = evolve_two_steps(tmp_path, fixtures_dir)
+    path = run / "step_01" / "side_tables.json"
+    tables = json.loads(path.read_text())
+    tables[0]["attributes"] = [""]
+    path.write_text(json.dumps(tables))
+    assert_rejected(run, tmp_path, capsys, "side table T_subject",
+                    "DROP_COLUMN keeps ['subject']")
+
+
 @pytest.mark.parametrize("store, fragment", [
     ([], "must be an object"),
     ({"mode": "how", "annotations": []}, "'annotations' must be an object"),
