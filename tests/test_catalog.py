@@ -304,7 +304,7 @@ def _rows(rng: random.Random, schema: Schema, pools: dict) -> Instance:
 
 
 def _collides(keys) -> bool:
-    return any(a == b for a, b in itertools.combinations(list(keys), 2))
+    return any(a == b for a, b in itertools.combinations(keys, 2))
 
 
 def test_join_danglings_match_naive_triggers():
