@@ -2,12 +2,14 @@
 
 Sixteen operators (fifteen plus NOP), one ``Operator`` record each in
 ``OPERATORS``.  A record holds everything the catalog knows about its
-operator: its class, inverse operator names and description, the builder of
-its forward source-to-target dependencies, the builder of its inverse plan
-per available resource level, the side tables that inverse needs, whether a
-function registry carries its inverse function, the instance features its
-prediction reads, and its predicted inverse type, a guaranteed lower bound on
-what the classifier will report.
+operator: its class, inverse operator names and description, its parameters
+with their shapes and the defaults of the optional ones (``SmoSpec`` checks
+every spec against them once), the builder of its forward source-to-target
+dependencies, the builder of its inverse plan per available resource level,
+the side tables that inverse needs, whether a function registry carries its
+inverse function, the instance features its prediction reads, and its
+predicted inverse type, a guaranteed lower bound on what the classifier will
+report.
 
 Builders return only the operator's own dependencies.  ``compile_forward``
 carries every relation the operator leaves alone by an identity dependency,
@@ -56,53 +58,74 @@ from .tgds import (
     variable_names,
 )
 
-# Parameters naming one relation, column or function, and those naming several.
-_NAME_PARAMS = frozenset({
-    "as", "column", "copy", "function", "kept", "left", "left_column",
-    "recombine", "relation", "right", "right_column", "source", "table",
-    "target", "target_column", "to",
-})
-_NAME_LIST_PARAMS = frozenset({
-    "attributes", "columns", "functions", "target_columns", "targets",
-})
-# Parameters holding objects: the fields inside that name one thing, and
-# those that name several.  ``parts`` is a list of such objects, and
-# ``filler`` may also be the string "null".
-_OBJECT_PARAMS = {
-    "condition": (("attribute", "attribute2", "op"), ()),
-    "join": (("column", "source_column"), ()),
-    "filler": (("function",), ("args",)),
-    "parts": (("name",), ("attributes",)),
+# Parameter shapes.  An operator record maps each parameter to one of them.
+NAME, NAMES, PAIR = "name", "list of names", "pair of names"
+CONDITION, JOIN, FILLER, PARTS = "condition", "join", "filler", "parts"
+_OP, _PART = "operator", "part"  # shapes of object fields and list items
+_OPS = ("<", "<=", "=", ">=", ">")
+
+# Each object shape: the shape of every field it may hold (None: any value),
+# the fields it needs, and two fields of which it needs exactly one.  A
+# filler may also be the string "null".
+_FIELDS = {
+    CONDITION: ({"attribute": NAME, "op": _OP, "value": None, "attribute2": NAME},
+                ("attribute", "op"), ("value", "attribute2")),
+    JOIN: ({"column": NAME, "source_column": NAME}, ("column", "source_column"), ()),
+    FILLER: ({"const": None, "function": NAME, "args": NAMES}, (),
+             ("const", "function")),
+    _PART: ({"name": NAME, "attributes": NAMES}, ("name", "attributes"), ()),
 }
 
 
-def _is_name_list(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value)
-
-
-def _check_object_param(kind: str, key: str, value) -> None:
-    names, name_lists = _OBJECT_PARAMS[key]
-    if key == "filler" and value == "null":
-        return
-    objs = value if key == "parts" and isinstance(value, (list, tuple)) else [value]
-    for obj in objs:
-        if not isinstance(obj, Mapping):
+def _check_object(where: str, obj, fields: Mapping[str, str | None],
+                  needs: Sequence[str], noun: str = "field") -> None:
+    """Raise unless ``obj`` is an object that holds every field of ``needs``
+    and only fields of ``fields``, each of its shape there."""
+    if not isinstance(obj, Mapping):
+        raise ValidationError(f"{where} must hold objects, got {obj!r}")
+    for f in obj:
+        if f not in fields:
             raise ValidationError(
-                f"{kind} parameter {key!r} must hold objects, got {obj!r}")
-        for field_name in names:
-            if field_name in obj and not isinstance(obj[field_name], str):
-                raise ValidationError(
-                    f"{kind} parameter {key!r}: {field_name!r} must be a name, "
-                    f"got {obj[field_name]!r}")
-        for field_name in name_lists:
-            if field_name in obj and not _is_name_list(obj[field_name]):
-                raise ValidationError(
-                    f"{kind} parameter {key!r}: {field_name!r} must be a list "
-                    f"of names, got {obj[field_name]!r}")
+                f"{where} has no {noun} {f!r}; it takes {list(fields)}")
+    for f in needs:
+        if f not in obj:
+            raise ValidationError(f"{where} needs {noun} {f!r}")
+    for f, value in obj.items():
+        _check_param(f"{where} {noun} {f!r}", fields[f], value)
+
+
+def _check_param(where: str, shape: str | None, value) -> None:
+    """Raise unless ``value`` has ``shape``; ``where`` names the value."""
+    if shape == NAME and not isinstance(value, str):
+        raise ValidationError(f"{where} must be a name, got {value!r}")
+    if shape in (NAMES, PAIR) and not (isinstance(value, (list, tuple))
+                                       and all(isinstance(v, str) for v in value)):
+        raise ValidationError(f"{where} must be a list of names, got {value!r}")
+    if shape in (PAIR, PARTS) and not (isinstance(value, (list, tuple))
+                                       and len(value) == 2):
+        raise ValidationError(f"{where} must hold exactly two entries, got {value!r}")
+    if shape == _OP and value not in _OPS:
+        raise ValidationError(f"{where} must be one of {' '.join(_OPS)}, got {value!r}")
+    for part in value if shape == PARTS else ():
+        _check_param(where, _PART, part)
+    if shape in _FIELDS and not (shape == FILLER and value == "null"):
+        fields, needs, one_of = _FIELDS[shape]
+        _check_object(where, value, fields, needs)
+        if one_of and (one_of[0] in value) == (one_of[1] in value):
+            raise ValidationError(
+                f"{where} needs exactly one of {one_of[0]!r} and {one_of[1]!r}")
+        if shape == _PART and not value["attributes"]:
+            raise ValidationError(f"{where}: a part needs at least one attribute")
 
 
 @dataclass(frozen=True)
 class SmoSpec:
+    """One script step: an operator kind, its parameters and its variant.
+
+    The parameters are checked against the operator's record, once: the
+    record declares every key and its shape, and every key it does not mark
+    optional must be present."""
+
     kind: str
     params: Mapping[str, object] = field(default_factory=dict)
     variant: int = 1
@@ -112,58 +135,51 @@ class SmoSpec:
             raise ValidationError(f"unknown operator kind {self.kind!r}")
         if self.variant not in (1, 2):
             raise ValidationError(f"variant must be 1 or 2, got {self.variant!r}")
-        if self.variant > OPERATORS[self.kind].variants:
-            two = sorted(k for k, op in OPERATORS.items() if op.variants == 2)
+        op = OPERATORS[self.kind]
+        if self.variant > op.variants:
+            two = sorted(k for k, o in OPERATORS.items() if o.variants == 2)
             raise ValidationError(
                 f"{self.kind} has a single formalization; variant 2 is only "
                 f"defined for {two}"
             )
-        for key, value in self.params.items():
-            if key in _NAME_PARAMS and not isinstance(value, str):
-                raise ValidationError(
-                    f"{self.kind} parameter {key!r} must be a name, got {value!r}")
-            if key in _NAME_LIST_PARAMS and not _is_name_list(value):
-                raise ValidationError(
-                    f"{self.kind} parameter {key!r} must be a list of names, "
-                    f"got {value!r}")
-            if key in _OBJECT_PARAMS:
-                _check_object_param(self.kind, key, value)
+        _check_object(self.kind, self.params, op.params,
+                      [k for k in op.params if k not in op.optional], "parameter")
 
-    def param(self, key: str, default=None, required: bool = True):
+    def param(self, key: str):
+        """The value of parameter ``key``; an omitted optional parameter
+        takes the value of the parameter its record names, or None."""
         if key in self.params:
             return self.params[key]
-        if default is not None or not required:
-            return default
-        raise ValidationError(f"{self.kind} needs parameter {key!r}")
-
-
-def smo_to_json(smo: SmoSpec) -> dict:
-    out: dict = {"kind": smo.kind}
-    out.update(smo.params)
-    out["variant"] = smo.variant
-    return out
-
-
-def smo_from_json(obj) -> SmoSpec:
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValidationError(f"script step must be an object with 'kind': {obj!r}")
-    params = {k: v for k, v in obj.items() if k not in ("kind", "variant")}
-    try:
-        variant = int(obj.get("variant", 1))
-    except (TypeError, ValueError):
-        raise ValidationError(
-            f"variant must be 1 or 2, got {obj['variant']!r}") from None
-    return SmoSpec(obj["kind"], params, variant)
+        default = OPERATORS[self.kind].optional[key]
+        return None if default is None else self.params[default]
 
 
 def script_to_json(script: Sequence[SmoSpec]) -> dict:
-    return {"steps": [smo_to_json(s) for s in script]}
+    return {"steps": [{"kind": s.kind, **s.params, "variant": s.variant}
+                      for s in script]}
 
 
 def script_from_json(obj) -> list[SmoSpec]:
+    """The script of a JSON object; an error raised by a step's operator
+    record names the step and its kind."""
     if not isinstance(obj, dict) or not isinstance(obj.get("steps"), list):
         raise ValidationError("script JSON must be an object with a 'steps' list")
-    return [smo_from_json(step) for step in obj["steps"]]
+    script = []
+    for i, step in enumerate(obj["steps"]):
+        if not isinstance(step, dict) or "kind" not in step:
+            raise ValidationError(
+                f"script step must be an object with 'kind': {step!r}")
+        params = {k: v for k, v in step.items() if k not in ("kind", "variant")}
+        try:
+            variant = int(step.get("variant", 1))
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"variant must be 1 or 2, got {step['variant']!r}") from None
+        try:
+            script.append(SmoSpec(step["kind"], params, variant))
+        except ValidationError as exc:
+            raise ValidationError(f"step {i} ({step['kind']}): {exc}") from exc
+    return script
 
 
 # ---------------------------------------------------------------------------
@@ -200,27 +216,22 @@ def _require_new_relation(schema: Schema, name: str) -> None:
 
 def _condition_term(schema_rel: RelationSchema, varmap: dict[str, Variable],
                     cond: Mapping[str, object]) -> tuple[Term, str, Term]:
-    attr = cond.get("attribute")
+    attr = cond["attribute"]
     if attr not in schema_rel.attributes:
         raise ValidationError(
             f"condition attribute {attr!r} is not in {schema_rel.name}"
         )
-    op = cond.get("op")
-    if op not in ("<", "<=", "=", ">=", ">"):
-        raise ValidationError(f"condition operator must be one of < <= = >= >, got {op!r}")
     left: Term = varmap[attr]
     if "value" in cond:
         right: Term = const(str(cond["value"]))
-    elif "attribute2" in cond:
+    else:
         attr2 = cond["attribute2"]
         if attr2 not in schema_rel.attributes:
             raise ValidationError(
                 f"condition attribute {attr2!r} is not in {schema_rel.name}"
             )
         right = varmap[attr2]
-    else:
-        raise ValidationError("condition needs 'value' or 'attribute2'")
-    return left, op, right
+    return left, cond["op"], right
 
 
 _COMPLEMENT = {"=": ("<", ">"), "<": (">=",), "<=": (">",), ">": ("<=",), ">=": ("<",)}
@@ -251,7 +262,7 @@ def _forward(smo: SmoSpec, source: Schema
 def _forward_copy_table(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("table"))
     copy_name = smo.param("copy")
-    kept_name = smo.param("kept", default=rel.name)
+    kept_name = smo.param("kept")
     _require_new_relation(source, copy_name)
     if kept_name != rel.name:
         _require_new_relation(source, kept_name)
@@ -279,23 +290,13 @@ def _forward_create_table(smo: SmoSpec, source: Schema):
 
 def _forward_decompose(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("table"))
-    parts = smo.param("parts")
-    if not (isinstance(parts, (list, tuple)) and len(parts) == 2):
-        raise ValidationError("DECOMPOSE_TABLE needs exactly two 'parts'")
     part_schemas = []
-    for part in parts:
-        if not (isinstance(part, Mapping) and "name" in part
-                and "attributes" in part):
-            raise ValidationError(
-                f"a decomposition part needs 'name' and 'attributes': {part!r}"
-            )
+    for part in smo.param("parts"):
         name, attrs = part["name"], tuple(part["attributes"])
         if name != rel.name:
             _require_new_relation(source, name)
         for a in attrs:
             rel.position(a)
-        if not attrs:
-            raise ValidationError("a decomposition part needs at least one attribute")
         part_schemas.append(RelationSchema(name, attrs))
     p1, p2 = part_schemas
     if p1.name == p2.name:
@@ -378,10 +379,7 @@ def _forward_merge_table(smo: SmoSpec, source: Schema):
 
 def _forward_partition(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("table"))
-    targets = smo.param("targets")
-    if not (isinstance(targets, (list, tuple)) and len(targets) == 2):
-        raise ValidationError("PARTITION_TABLE needs exactly two 'targets'")
-    t1, t2 = targets
+    t1, t2 = targets = smo.param("targets")
     for t in targets:
         if t != rel.name:
             _require_new_relation(source, t)
@@ -430,9 +428,9 @@ def _forward_add_column(smo: SmoSpec, source: Schema):
     if filler == "null":
         new_term: Term = Variable("_n")
         existential = frozenset({"_n"})
-    elif isinstance(filler, Mapping) and "const" in filler:
+    elif "const" in filler:
         new_term = const(str(filler["const"]))
-    elif isinstance(filler, Mapping) and "function" in filler:
+    else:
         for a in filler.get("args", ()):
             if a not in varmap:
                 raise ValidationError(
@@ -440,11 +438,6 @@ def _forward_add_column(smo: SmoSpec, source: Schema):
                 )
         args = tuple(varmap[a] for a in filler.get("args", ()))
         new_term = FunctionTerm(filler["function"], args)
-    else:
-        raise ValidationError(
-            "ADD_COLUMN filler must be \"null\", {\"const\": ...} or "
-            "{\"function\": ..., \"args\": [...]}"
-        )
     tgd = StTgd(
         body=(Atom(rel.name, vars_),),
         head=(Atom(rel.name, vars_ + (new_term,)),),
@@ -459,11 +452,6 @@ def _copy_move_join(smo: SmoSpec, source: Schema, explicit_equality: bool):
     if receiver.name == partner.name:
         raise ValidationError("receiver and partner table must differ")
     join = smo.param("join")
-    if not (isinstance(join, Mapping) and "column" in join
-            and "source_column" in join):
-        raise ValidationError(
-            "the join parameter needs 'column' and 'source_column'"
-        )
     rcol = join["column"]
     pcol = join["source_column"]
     receiver.position(rcol)
@@ -472,7 +460,7 @@ def _copy_move_join(smo: SmoSpec, source: Schema, explicit_equality: bool):
     partner.position(moved)
     if moved == pcol:
         raise ValidationError("the moved column cannot be the join column")
-    new_name = smo.param("as", default=moved)
+    new_name = smo.param("as")
     if new_name in receiver.attributes:
         raise ValidationError(f"column {new_name!r} already exists in {receiver.name}")
     names = variable_names(receiver.arity + partner.arity)
@@ -526,46 +514,31 @@ def _forward_drop_column(smo: SmoSpec, source: Schema):
     return source.replacing(kept), [_projection(rel, kept)], [rel.name]
 
 
-def _merged_attrs(rel: RelationSchema, columns: Sequence[str],
-                  target_column: str) -> tuple[str, ...]:
-    if len(columns) != 2:
-        raise ValidationError("MERGE_COLUMN merges exactly two columns")
-    c1, c2 = columns
-    spot = min(rel.position(c1), rel.position(c2))
-    out: list[str] = []
-    for i, a in enumerate(rel.attributes):
-        if i == spot:
-            out.append(target_column)
-        if a not in (c1, c2):
-            out.append(a)
-    if len(set(out)) != len(out):
-        raise ValidationError(f"merged column name {target_column!r} collides")
-    return tuple(out)
-
-
 def _forward_merge_column(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("relation"))
-    columns = smo.param("columns")
+    c1, c2 = smo.param("columns")
     target_column = smo.param("target_column")
-    function = smo.param("function")
-    target_name = smo.param("target", default=rel.name)
+    target_name = smo.param("target")
     if target_name != rel.name:
         _require_new_relation(source, target_name)
-    attrs = _merged_attrs(rel, columns, target_column)
+    spot = min(rel.position(c1), rel.position(c2))
+    attrs: list[str] = []
+    for i, a in enumerate(rel.attributes):
+        if i == spot:
+            attrs.append(target_column)
+        if a not in (c1, c2):
+            attrs.append(a)
+    if len(set(attrs)) != len(attrs):
+        raise ValidationError(f"merged column name {target_column!r} collides")
     target = source.replacing(
-        drop=[rel.name], add=[RelationSchema(target_name, attrs)]
+        drop=[rel.name], add=[RelationSchema(target_name, tuple(attrs))]
     )
     varmap = _attr_vars(rel)
-    c1, c2 = columns
-    head_terms: list[Term] = []
-    for a in attrs:
-        if a == target_column:
-            head_terms.append(FunctionTerm(function, (varmap[c1], varmap[c2])))
-        else:
-            head_terms.append(varmap[a])
+    merged = FunctionTerm(smo.param("function"), (varmap[c1], varmap[c2]))
     tgd = StTgd(
         body=(Atom(rel.name, tuple(varmap[a] for a in rel.attributes)),),
-        head=(Atom(target_name, tuple(head_terms)),),
+        head=(Atom(target_name, tuple(
+            merged if a == target_column else varmap[a] for a in attrs)),),
     )
     return target, [tgd], [rel.name]
 
@@ -582,45 +555,27 @@ def _forward_rename_column(smo: SmoSpec, source: Schema):
     return target, [_identity_tgd(rel)], [rel.name]
 
 
-def _split_attrs(rel: RelationSchema, column: str,
-                 new_columns: Sequence[str]) -> tuple[str, ...]:
-    if len(new_columns) != 2:
-        raise ValidationError("SPLIT_COLUMN produces exactly two columns")
-    pos = rel.position(column)
-    out = list(rel.attributes[:pos]) + list(new_columns) + list(
-        rel.attributes[pos + 1:]
-    )
-    if len(set(out)) != len(out):
-        raise ValidationError(f"split column names {new_columns} collide")
-    return tuple(out)
-
-
 def _forward_split_column(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("relation"))
     column = smo.param("column")
     new_columns = smo.param("target_columns")
-    functions = smo.param("functions")
-    if not (isinstance(functions, (list, tuple)) and len(functions) == 2):
-        raise ValidationError("SPLIT_COLUMN needs two 'functions'")
-    target_name = smo.param("target", default=rel.name)
+    target_name = smo.param("target")
     if target_name != rel.name:
         _require_new_relation(source, target_name)
-    attrs = _split_attrs(rel, column, new_columns)
+    pos = rel.position(column)
+    attrs = rel.attributes[:pos] + tuple(new_columns) + rel.attributes[pos + 1:]
+    if len(set(attrs)) != len(attrs):
+        raise ValidationError(f"split column names {new_columns} collide")
     target = source.replacing(
         drop=[rel.name], add=[RelationSchema(target_name, attrs)]
     )
     varmap = _attr_vars(rel)
-    head_terms: list[Term] = []
-    for a in attrs:
-        if a == new_columns[0]:
-            head_terms.append(FunctionTerm(functions[0], (varmap[column],)))
-        elif a == new_columns[1]:
-            head_terms.append(FunctionTerm(functions[1], (varmap[column],)))
-        else:
-            head_terms.append(varmap[a])
+    halves = {c: FunctionTerm(f, (varmap[column],))
+              for c, f in zip(new_columns, smo.param("functions"))}
     tgd = StTgd(
         body=(Atom(rel.name, tuple(varmap[a] for a in rel.attributes)),),
-        head=(Atom(target_name, tuple(head_terms)),),
+        head=(Atom(target_name, tuple(halves[a] if a in halves else varmap[a]
+                                      for a in attrs)),),
     )
     return target, [tgd], [rel.name]
 
@@ -755,7 +710,7 @@ def _merge_column_inverse_ready(smo: SmoSpec, functions: FunctionRegistry) -> bo
 
 
 def _split_column_inverse_ready(smo: SmoSpec, functions: FunctionRegistry) -> bool:
-    recombine = smo.param("recombine", required=False)
+    recombine = smo.param("recombine")
     return bool(recombine) and functions.has(recombine)
 
 
@@ -797,7 +752,7 @@ def _no_dependencies(smo, source, forward, level, side, invfn):
 def _inverse_copy_table(smo, source, forward, level, side, invfn):
     rel = source.relation(smo.param("table"))
     copy_name = smo.param("copy")
-    kept_name = smo.param("kept", default=rel.name)
+    kept_name = smo.param("kept")
     vars_ = tuple(Variable(v) for v in variable_names(rel.arity))
     head = (Atom(rel.name, vars_),)
     if smo.variant == 1:
@@ -965,7 +920,7 @@ def _inverse_merge_column(smo, source, forward, level, side, invfn):
     rel = source.relation(smo.param("relation"))
     c1, c2 = smo.param("columns")
     function = smo.param("function")
-    merged = forward.target.relation(smo.param("target", default=rel.name))
+    merged = forward.target.relation(smo.param("target"))
     if level in ("why", "how") and side and invfn:
         mv = _attr_vars(merged)
         inverse = FunctionTerm(function, (mv[smo.param("target_column")],
@@ -1029,8 +984,8 @@ def _inverse_rename_column(smo, source, forward, level, side, invfn):
 def _inverse_split_column(smo, source, forward, level, side, invfn):
     rel = source.relation(smo.param("relation"))
     column = smo.param("column")
-    recombine = smo.param("recombine", required=False)
-    split_rel = forward.target.relation(smo.param("target", default=rel.name))
+    recombine = smo.param("recombine")
+    split_rel = forward.target.relation(smo.param("target"))
     if invfn and recombine:
         sv = _attr_vars(split_rel)
         b, c = smo.param("target_columns")
@@ -1203,6 +1158,9 @@ class Operator:
     for a provenance level, side-table and inverse-function availability.
     ``predict(level, side, invfn, features)`` is the predicted inverse type.
     ``features`` computes the ``InstanceFeatures`` that ``predict`` reads.
+    ``params`` maps each parameter to its shape; ``optional`` maps each
+    parameter a spec may omit to the parameter whose value it then takes,
+    or to None.
     """
 
     classes: tuple[str, ...]
@@ -1211,6 +1169,8 @@ class Operator:
     forward: Callable
     inverse: Callable
     demo: tuple[Schema, dict]  # a small schema and parameters for the catalog
+    params: Mapping[str, str]
+    optional: Mapping[str, str | None] = field(default_factory=dict)
     variants: int = 1
     side_tables: Callable = _no_side_tables
     inverse_function_ready: Callable = _no_inverse_function
@@ -1226,18 +1186,22 @@ _PAIR = Schema.of(_rel("R", "id", "name"), _rel("V", "name", "subject"))
 _PARTNER_JOIN = {"relation": "R", "source": "V",
                  "join": {"column": "name", "source_column": "name"},
                  "column": "subject"}
+_PARTNER_PARAMS = {"relation": NAME, "source": NAME, "join": JOIN,
+                   "column": NAME, "as": NAME}
 
 OPERATORS: dict[str, Operator] = {
     "COPY_TABLE": Operator(
         ("I",), ("DROP_TABLE", "MERGE_TABLE"), "duplicate a table",
         _forward_copy_table, _inverse_copy_table, variants=2,
         demo=(Schema.of(_rel("R", "a1", "a2", "a3")),
-              {"table": "R", "copy": "V", "kept": "R'"})),
+              {"table": "R", "copy": "V", "kept": "R'"}),
+        params={"table": NAME, "copy": NAME, "kept": NAME}, optional={"kept": "table"}),
     "CREATE_TABLE": Operator(
         ("I",), ("DROP_TABLE",), "add a new, empty table",
         _forward_create_table, _no_dependencies,
         demo=(Schema.of(_rel("R", "a1", "a2")),
-              {"table": "V", "attributes": ["b1", "b2"]})),
+              {"table": "V", "attributes": ["b1", "b2"]}),
+        params={"table": NAME, "attributes": NAMES}),
     "DECOMPOSE_TABLE": Operator(
         ("III",), ("ADD_COLUMN", "JOIN_TABLE"),
         "project a table onto two overlapping parts",
@@ -1246,55 +1210,65 @@ OPERATORS: dict[str, Operator] = {
         demo=(Schema.of(_rel("R", "a1", "a2", "a3")),
               {"table": "R",
                "parts": [{"name": "R1", "attributes": ["a1", "a2"]},
-                         {"name": "R2", "attributes": ["a1", "a3"]}]})),
+                         {"name": "R2", "attributes": ["a1", "a3"]}]}),
+        params={"table": NAME, "parts": PARTS}),
     "DROP_TABLE": Operator(
         ("IV",), ("CREATE_TABLE",), "remove a table",
         _forward_drop_table, _inverse_drop_table,
         side_tables=_drop_table_side_tables, predict=_predict_drop_table,
         demo=(Schema.of(_rel("R", "a1", "a2"), _rel("V", "b1", "b2")),
-              {"table": "R"})),
+              {"table": "R"}),
+        params={"table": NAME}),
     "JOIN_TABLE": Operator(
         ("II",), ("DECOMPOSE_TABLE",), "fuse two tables along a join condition",
         _forward_join, _inverse_join,
         side_tables=_join_side_tables, features=_join_danglings,
         predict=_predict_join,
         demo=(_PAIR, {"left": "R", "right": "V", "left_column": "name",
-                      "right_column": "name", "target": "T"})),
+                      "right_column": "name", "target": "T"}),
+        params=dict.fromkeys(("left", "right", "left_column", "right_column",
+                                "target"), NAME)),
     "MERGE_TABLE": Operator(
         ("IV",), ("PARTITION_TABLE",), "union two tables of equal shape into one",
         _forward_merge_table, _inverse_merge_table,
         predict=_predict_merge_table,
         demo=(Schema.of(_rel("R", "a1", "a2", "a3"), _rel("V", "a1", "a2", "a3")),
-              {"left": "R", "right": "V", "target": "T"})),
+              {"left": "R", "right": "V", "target": "T"}),
+        params=dict.fromkeys(("left", "right", "target"), NAME)),
     "PARTITION_TABLE": Operator(
         ("I",), ("MERGE_TABLE",), "split a table in two by a row condition",
         _forward_partition, _inverse_partition,
         demo=(Schema.of(_rel("R", "id", "name", "subject")),
               {"table": "R",
                "condition": {"attribute": "subject", "op": "=", "value": "Math"},
-               "targets": ["T1", "T2"]})),
+               "targets": ["T1", "T2"]}),
+        params={"table": NAME, "condition": CONDITION, "targets": PAIR}),
     "RENAME_TABLE": Operator(
         ("I",), ("RENAME_TABLE",), "change a table name",
         _forward_rename_table, _inverse_rename_table,
-        demo=(Schema.of(_rel("R", "a1", "a2")), {"table": "R", "to": "V"})),
+        demo=(Schema.of(_rel("R", "a1", "a2")), {"table": "R", "to": "V"}),
+        params={"table": NAME, "to": NAME}),
     "ADD_COLUMN": Operator(
         ("I",), ("DROP_COLUMN",),
         "append a column filled by a constant, a function, or nulls",
         _forward_add_column, _inverse_drop_added_column, variants=2,
         demo=(Schema.of(_rel("R", "a1", "a2")),
               {"relation": "R", "column": "a3",
-               "filler": {"function": "concat_pipe", "args": ["a1", "a2"]}})),
+               "filler": {"function": "concat_pipe", "args": ["a1", "a2"]}}),
+        params={"relation": NAME, "column": NAME, "filler": FILLER}),
     "COPY_COLUMN": Operator(
         ("I",), ("DROP_COLUMN",), "pull a column in from a partner table via a join",
         _forward_copy_column, _inverse_drop_added_column, variants=2,
-        demo=(_PAIR, _PARTNER_JOIN)),
+        demo=(_PAIR, _PARTNER_JOIN),
+        params=_PARTNER_PARAMS, optional={"as": "column"}),
     "DROP_COLUMN": Operator(
         ("III",), ("ADD_COLUMN",), "remove a column",
         _forward_drop_column, _inverse_drop_column,
         side_tables=_drop_column_side_tables, features=_collapsed_rows,
         predict=_predict_drop_column,
         demo=(Schema.of(_rel("R", "a1", "a2", "a3")),
-              {"relation": "R", "column": "a3"})),
+              {"relation": "R", "column": "a3"}),
+        params={"relation": NAME, "column": NAME}),
     "MERGE_COLUMN": Operator(
         ("III",), ("SPLIT_COLUMN",), "replace two columns by a function of both",
         _forward_merge_column, _inverse_merge_column,
@@ -1303,18 +1277,23 @@ OPERATORS: dict[str, Operator] = {
         features=_collapsed_rows, predict=_predict_merge_column,
         demo=(Schema.of(_rel("R", "name", "mod1", "mod2")),
               {"relation": "R", "columns": ["mod1", "mod2"],
-               "target_column": "sum", "function": "dec_add", "target": "T"})),
+               "target_column": "sum", "function": "dec_add", "target": "T"}),
+        params={"relation": NAME, "columns": PAIR, "target_column": NAME,
+                "function": NAME, "target": NAME},
+        optional={"target": "relation"}),
     "MOVE_COLUMN": Operator(
         ("II", "III"), ("MOVE_COLUMN",),
         "like COPY_COLUMN, but the partner table loses the column",
         _forward_move_column, _inverse_move_column,
         side_tables=_move_column_side_tables, predict=_predict_move_column,
-        demo=(_PAIR, _PARTNER_JOIN)),
+        demo=(_PAIR, _PARTNER_JOIN),
+        params=_PARTNER_PARAMS, optional={"as": "column"}),
     "RENAME_COLUMN": Operator(
         ("I",), ("RENAME_COLUMN",), "change a column name",
         _forward_rename_column, _inverse_rename_column,
         demo=(Schema.of(_rel("R", "a1", "a2")),
-              {"relation": "R", "column": "a2", "to": "b2"})),
+              {"relation": "R", "column": "a2", "to": "b2"}),
+        params={"relation": NAME, "column": NAME, "to": NAME}),
     "SPLIT_COLUMN": Operator(
         ("III",), ("MERGE_COLUMN",), "replace one column by two functions of it",
         _forward_split_column, _inverse_split_column,
@@ -1324,10 +1303,14 @@ OPERATORS: dict[str, Operator] = {
               {"relation": "R", "column": "code",
                "target_columns": ["head", "tail"],
                "functions": ["split_pipe_head", "split_pipe_tail"],
-               "recombine": "concat_pipe", "target": "T"})),
+               "recombine": "concat_pipe", "target": "T"}),
+        params={"relation": NAME, "column": NAME, "target_columns": PAIR,
+                "functions": PAIR, "recombine": NAME, "target": NAME},
+        optional={"recombine": None, "target": "relation"}),
     "NOP": Operator(
         ("I",), ("NOP",), "do nothing", _forward_nop, _no_dependencies,
-        demo=(Schema.of(_rel("R", "a1", "a2")), {})),
+        demo=(Schema.of(_rel("R", "a1", "a2")), {}),
+        params={}),
 }
 
 ALL_KINDS = tuple(OPERATORS)

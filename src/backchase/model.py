@@ -192,7 +192,10 @@ class IdAllocator:
 
 
 def relation_tag(name: str) -> str:
-    return name.lower()
+    """The lower-cased name, with ``_`` appended after a final digit so
+    that ``TupleId.parse`` splits every id of the relation back."""
+    tag = name.lower()
+    return tag + "_" if tag[-1:] in "0123456789" else tag
 
 
 # ---------------------------------------------------------------------------

@@ -295,19 +295,13 @@ def execute_plan(
     plan: InversePlan,
     step: EvolutionStep,
     j: Instance,
-    functions: FunctionRegistry | None = None,
-    nulls: NullAllocator | None = None,
-    ids: IdAllocator | None = None,
+    functions: FunctionRegistry,
+    nulls: NullAllocator,
+    ids: IdAllocator,
 ) -> Instance:
     """Run one step's inverse: optional duplicate expansion, the inverse
     dependencies on the chase engine, then side lookups, origin restriction
     and side-table appends."""
-    functions = functions or default_registry()
-    if nulls is None or ids is None:
-        fresh_nulls, fresh_ids = seed_allocators(j, step.source, step.target)
-        nulls = nulls or fresh_nulls
-        ids = ids or fresh_ids
-
     store = _attach_store(j, step)
     if plan.expand_before and store.mode in ("why", "how"):
         j, store = expand_duplicates(j, store, ids)

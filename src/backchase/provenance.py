@@ -80,9 +80,6 @@ class Polynomial:
     def eval_all_ones(self) -> int:
         return sum(c for _, c in self.terms)
 
-    def ids(self) -> frozenset[TupleId]:
-        return frozenset(t for m, _ in self.terms for t in m)
-
 
 def poly_add(*ps: Polynomial) -> Polynomial:
     """Sum any number of canonical polynomials, canonicalizing once; the sum
@@ -159,10 +156,7 @@ def to_witness_basis(p: Polynomial) -> WitnessBasis:
 
 
 def basis_to_json(basis: WitnessBasis) -> list[list[str]]:
-    return sorted(
-        [sorted((str(t) for t in w), key=lambda s: TupleId.parse(s).sort_key())
-         for w in basis]
-    )
+    return sorted([str(t) for t in sorted(w, key=_ID_KEY)] for w in basis)
 
 
 def basis_from_json(obj) -> WitnessBasis:

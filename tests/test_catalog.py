@@ -1,5 +1,8 @@
+import dataclasses
 import itertools
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +179,70 @@ def test_validation_errors():
         SmoSpec("MERGE_COLUMN", {}, variant=2)
     with pytest.raises(ValidationError):
         SmoSpec("TRUNCATE", {})
+
+
+def test_dropping_a_required_parameter_names_it():
+    for kind, op in OPERATORS.items():
+        params = op.demo[1]
+        for key in op.params.keys() - op.optional.keys():
+            rest = {k: v for k, v in params.items() if k != key}
+            with pytest.raises(ValidationError,
+                               match=f"{kind} needs parameter '{key}'$"):
+                SmoSpec(kind, rest)
+
+
+def test_undeclared_parameter_is_named_with_the_accepted_ones():
+    for kind, op in OPERATORS.items():
+        with pytest.raises(ValidationError) as err:
+            SmoSpec(kind, {**op.demo[1], "extra": "x"})
+        assert str(err.value) == (f"{kind} has no parameter 'extra'; "
+                                  f"it takes {list(op.params)}")
+
+
+def _plan_fields(plan) -> dict:
+    return {f.name: getattr(plan, f.name) for f in dataclasses.fields(plan)
+            if f.name != "smo"}
+
+
+def test_omitted_optional_parameter_compiles_like_its_default():
+    checked = 0
+    for kind, op in OPERATORS.items():
+        schema, params = op.demo
+        for key, default in op.optional.items():
+            omitted = SmoSpec(kind, {k: v for k, v in params.items() if k != key})
+            if default is None:
+                # nothing names the default; it matters only to the exact
+                # inverse, which the plans without an inverse function skip
+                explicit, invfns = SmoSpec(kind, params), (False,)
+            else:
+                explicit = SmoSpec(kind, {**params, key: params[default]})
+                invfns = (False, True)
+            assert compile_forward(omitted, schema) == compile_forward(explicit, schema)
+            for level, side in RESOURCE_CONFIGS:
+                for invfn in invfns:
+                    assert _plan_fields(
+                        compile_inverse(omitted, schema, level, side, invfn)
+                    ) == _plan_fields(
+                        compile_inverse(explicit, schema, level, side, invfn)
+                    ), (kind, key, level, side, invfn)
+            checked += 1
+    assert checked == 6
+
+
+def test_readme_lists_every_operators_parameters():
+    text = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = {}
+    for kind, entries in re.findall(r"^- `([A-Z_]+)`: (.*)$", text, re.M):
+        params, optional = {}, {}
+        for entry in [] if entries == "no parameters" else entries.split(", "):
+            key, shape, default = re.fullmatch(
+                r"`(\w+)` ([a-z ]+?)(?: = (`\w+`|none))?", entry).groups()
+            params[key] = shape
+            if default:
+                optional[key] = None if default == "none" else default.strip("`")
+        listed[kind] = (list(params.items()), optional)
+    assert listed == {kind: (list(op.params.items()), dict(op.optional))
+                      for kind, op in OPERATORS.items()}
 
 
 def test_script_json_bit_exact_example():

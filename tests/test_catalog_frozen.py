@@ -27,16 +27,24 @@ import sys
 from pathlib import Path
 
 from backchase import (
+    Instance,
     InstanceFeatures,
     RelationSchema,
     Schema,
     SmoSpec,
     compile_forward,
     compile_inverse,
+    instance_features,
     predicted_inverse_type,
 )
-from backchase.catalog import ALL_KINDS, OPERATORS, side_table_specs
+from backchase.catalog import (
+    ALL_KINDS,
+    OPERATORS,
+    inverse_function_ready,
+    side_table_specs,
+)
 from backchase.cli import main as cli_main
+from backchase.functions import default_registry
 from backchase.tgds import format_tgd
 from support import RESOURCE_CONFIGS, SMO_CASES, random_script
 
@@ -194,6 +202,26 @@ def test_frozen_specs_cover_every_operator_and_case():
                          if e["label"] == f"case {kind} {i}")
             assert _stored_spec(entry) == _spec_json(entry["label"],
                                                      instance.schema, smo)
+
+
+def test_builders_read_only_declared_parameters(monkeypatch):
+    read = set()
+    param = SmoSpec.param
+
+    def recording_param(self, key):
+        read.add((self.kind, key))
+        return param(self, key)
+
+    monkeypatch.setattr(SmoSpec, "param", recording_param)
+    frozen = json.loads(FIXTURE.read_text(encoding="utf-8"))
+    for entry in frozen["specs"]:
+        spec = _stored_spec(entry)
+        derive(spec)
+        smo = SmoSpec(spec["kind"], spec["params"], spec["variant"])
+        inverse_function_ready(smo, default_registry())
+        instance_features(smo, Instance(_schema_from_json(spec["schema"]), {}))
+    declared = {(kind, key) for kind, op in OPERATORS.items() for key in op.params}
+    assert read == declared  # nothing undeclared is read, nothing declared unused
 
 
 if __name__ == "__main__":

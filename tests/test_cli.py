@@ -381,8 +381,17 @@ def test_boolean_null_label_exits_2(tmp_path, fixtures_dir, capsys):
     ({"kind": "DECOMPOSE_TABLE", "table": "R",
       "parts": [{"name": "R1", "attributes": None}, {"name": "R2", "attributes": []}]},
      "'attributes' must be a list of names"),
+    # misspelled optional parameters, which must not fall back to defaults
+    ({"kind": "MERGE_COLUMN", "relation": "R", "columns": ["y", "z"],
+      "target_column": "s", "function": "dec_add", "targt": "T"},
+     "step 0 (MERGE_COLUMN): MERGE_COLUMN has no parameter 'targt'; it takes "
+     "['relation', 'columns', 'target_column', 'function', 'target']"),
+    ({"kind": "COPY_TABLE", "table": "R", "copy": "V", "kep": "K"},
+     "step 0 (COPY_TABLE): COPY_TABLE has no parameter 'kep'; it takes "
+     "['table', 'copy', 'kept']"),
 ], ids=["condition-null", "condition-attribute-list", "filler-function-list",
-        "filler-args-null", "join-column-object", "parts-attributes-null"])
+        "filler-args-null", "join-column-object", "parts-attributes-null",
+        "merge-column-targt", "copy-table-kep"])
 def test_mistyped_nested_parameters_exit_2(tmp_path, capsys, step, fragment):
     ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
     ipath.write_text(json.dumps(FUZZ_INSTANCE))
@@ -393,6 +402,35 @@ def test_mistyped_nested_parameters_exit_2(tmp_path, capsys, step, fragment):
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert "Traceback" not in err
+
+
+def test_ids_of_digit_ending_relations_stay_distinct(tmp_path, capsys):
+    # T1 and T2 end in a digit: no id minted for them may print as an id of T
+    def rel(name, tag, rows):
+        return {"name": name, "attributes": ["a", "b"], "tuples": [
+            {"id": f"{tag}{i + 1}", "values": [{"const": a}, {"const": b}]}
+            for i, (a, b) in enumerate(rows)]}
+    ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
+    ipath.write_text(json.dumps({"relations": [
+        rel("R", "r", [("1", "x"), ("2", "y"), ("3", "x")]),
+        rel("T", "t", [(str(i), "z") for i in range(12)])]}))
+    spath.write_text(json.dumps({"steps": [
+        {"kind": "PARTITION_TABLE", "table": "R", "targets": ["T1", "T2"],
+         "condition": {"attribute": "b", "op": "=", "value": "x"}}]}))
+    run = tmp_path / "run"
+    assert run_cli("evolve", "--in", str(ipath), "--script", str(spath),
+                   "--provenance", "how", "--out", str(run)) == 0
+    target = json.loads((run / "step_00" / "target.json").read_text())
+    ids = [t["id"] for r in target["relations"] for t in r["tuples"]]
+    assert len(ids) == len(set(ids)) == 15
+    store = json.loads((run / "step_00" / "store.json").read_text())
+    assert len(store["annotations"]) == 15
+    capsys.readouterr()
+    assert run_cli("invert", "--run", str(run), "--out", str(tmp_path / "b.json")) == 0
+    assert "composed: exact" in capsys.readouterr().out
+    assert run_cli("roundtrip", "--in", str(ipath), "--script", str(spath),
+                   "--provenance", "how", "--report", str(tmp_path / "r.json")) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["composed"]["type"] == "exact"
 
 
 def _r3_instance(*values: str) -> dict:

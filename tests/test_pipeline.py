@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backchase import (
     Fact,
@@ -185,6 +187,27 @@ def test_random_scripts_compose_to_minimum():
         run = evolve(src, script, mode, build_side_tables=side)
         result = backchase(run)
         assert result.composed == weakest(s.achieved for s in result.steps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32))
+def test_minted_ids_of_digit_ending_relations_parse_back(seed):
+    # the scripts mint relations W1, W2, ...; R1 and T2 end in a digit too
+    rng = random.Random(seed)
+    schema = Schema.of(RelationSchema("R1", ("x", "y", "z")),
+                       RelationSchema("T2", ("x", "y", "z")))
+    script = random_script(rng, schema, rng.randint(1, 4))
+    src = random_ground_instance(rng, schema, max_rows=8)
+    mode, side = rng.choice([("none", False), ("why", False), ("how", True)])
+    run = evolve(src, script, mode, build_side_tables=side)
+    result = backchase(run)
+    for instance in ([s.target for s in run.steps]
+                     + [s.reconstructed for s in result.steps]):
+        ids = [f.id for _, f in instance.iter_facts()]
+        assert all(TupleId.parse(str(t)) == t for t in ids), ids
+        assert len({str(t) for t in ids}) == len(ids)
+    for step in run.steps:
+        assert all(TupleId.parse(str(t)) == t for t in step.store.annotations)
 
 
 def test_provenance_stores_are_per_step(merge_column_case):
