@@ -45,9 +45,11 @@ from .model import (
     Instance,
     Null,
     Value,
+    holds_null,
     instances_equal,
     require_same_schema,
     schemas_equal,
+    vector_counts,
 )
 from .tgds import Atom, FunctionTerm, SchemaMapping, StTgd, Term, Variable
 
@@ -121,10 +123,10 @@ def find_homomorphism(src: Instance, dst: Instance) -> Homomorphism | None:
     first.
     """
     require_same_schema(src, dst)
-    targets = list(dict.fromkeys(
+    present = dict.fromkeys(
         (rel, f.values) for rel in dst.schema.names() for f in dst.facts(rel)
-    ))
-    present = set(targets)
+    )
+    targets = list(present)
     pending: dict[tuple[str, tuple[Value, ...]], None] = {}
     for rel, fact in src.iter_facts():
         if any(isinstance(v, Null) for v in fact.values):
@@ -177,7 +179,7 @@ def isomorphic(a: Instance, b: Instance) -> bool:
     if ground_a != ground_b or len(rest_a) != len(rest_b):
         return False
     signature_a, signature_b = _null_signatures(rest_a), _null_signatures(rest_b)
-    if Counter(signature_a.values()) != Counter(signature_b.values()):
+    if dict(Counter(signature_a.values())) != dict(Counter(signature_b.values())):
         return False
     index = _Index(rest_b)
     fwd: dict[int, Null] = {}
@@ -223,18 +225,23 @@ def isomorphic(a: Instance, b: Instance) -> bool:
 _Step = tuple[str, tuple[Value, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def _split_ground(instance: Instance) -> tuple[dict[str, Counter], list]:
-    """Per-relation multisets of ground value vectors, and the null-bearing
-    facts as (relation, values) pairs."""
-    ground: dict[str, Counter] = {}
+def _split_ground(instance: Instance) -> tuple[dict[str, dict], list]:
+    """Per-relation multisets of ground value vectors (``vector_counts``),
+    and the null-bearing facts as (relation, values) pairs.  Facts are read
+    one by one only in relations that hold a null."""
+    ground: dict[str, dict] = {}
     rest: list[tuple[str, tuple[Value, ...]]] = []
     for rel in sorted(instance.schema.names()):
-        counts = ground[rel] = Counter()
-        for fact in instance.facts(rel):
-            if any(isinstance(v, Null) for v in fact.values):
-                rest.append((rel, fact.values))
-            else:
-                counts[fact.values] += 1
+        facts = instance.facts(rel)
+        if holds_null(facts):
+            ground_facts = []
+            for fact in facts:
+                if any(type(v) is Null for v in fact.values):
+                    rest.append((rel, fact.values))
+                else:
+                    ground_facts.append(fact)
+            facts = ground_facts
+        ground[rel] = vector_counts(facts)
     return ground, rest
 
 

@@ -61,23 +61,25 @@ from .tgds import (
 # Parameter shapes.  An operator record maps each parameter to one of them.
 NAME, NAMES, PAIR = "name", "list of names", "pair of names"
 CONDITION, JOIN, FILLER, PARTS = "condition", "join", "filler", "parts"
-_OP, _PART = "operator", "part"  # shapes of object fields and list items
+# Shapes of object fields and list items; a constant is a string or a
+# number (not a bool), read through its text.
+_OP, _PART, _CONST = "operator", "part", "constant"
 _OPS = ("<", "<=", "=", ">=", ">")
 
-# Each object shape: the shape of every field it may hold (None: any value),
-# the fields it needs, and two fields of which it needs exactly one.  A
-# filler may also be the string "null".
+# Each object shape: the shape of every field it may hold, the fields it
+# needs, and two fields of which it needs exactly one.  A filler may also be
+# the string "null".
 _FIELDS = {
-    CONDITION: ({"attribute": NAME, "op": _OP, "value": None, "attribute2": NAME},
+    CONDITION: ({"attribute": NAME, "op": _OP, "value": _CONST, "attribute2": NAME},
                 ("attribute", "op"), ("value", "attribute2")),
     JOIN: ({"column": NAME, "source_column": NAME}, ("column", "source_column"), ()),
-    FILLER: ({"const": None, "function": NAME, "args": NAMES}, (),
+    FILLER: ({"const": _CONST, "function": NAME, "args": NAMES}, (),
              ("const", "function")),
     _PART: ({"name": NAME, "attributes": NAMES}, ("name", "attributes"), ()),
 }
 
 
-def _check_object(where: str, obj, fields: Mapping[str, str | None],
+def _check_object(where: str, obj, fields: Mapping[str, str],
                   needs: Sequence[str], noun: str = "field") -> None:
     """Raise unless ``obj`` is an object that holds every field of ``needs``
     and only fields of ``fields``, each of its shape there."""
@@ -94,10 +96,13 @@ def _check_object(where: str, obj, fields: Mapping[str, str | None],
         _check_param(f"{where} {noun} {f!r}", fields[f], value)
 
 
-def _check_param(where: str, shape: str | None, value) -> None:
+def _check_param(where: str, shape: str, value) -> None:
     """Raise unless ``value`` has ``shape``; ``where`` names the value."""
     if shape == NAME and not isinstance(value, str):
         raise ValidationError(f"{where} must be a name, got {value!r}")
+    if shape == _CONST and (isinstance(value, bool)
+                            or not isinstance(value, (str, int, float))):
+        raise ValidationError(f"{where} must be a string or a number, got {value!r}")
     if shape in (NAMES, PAIR) and not (isinstance(value, (list, tuple))
                                        and all(isinstance(v, str) for v in value)):
         raise ValidationError(f"{where} must be a list of names, got {value!r}")
@@ -517,6 +522,8 @@ def _forward_drop_column(smo: SmoSpec, source: Schema):
 def _forward_merge_column(smo: SmoSpec, source: Schema):
     rel = source.relation(smo.param("relation"))
     c1, c2 = smo.param("columns")
+    if c1 == c2:
+        raise ValidationError(f"merged columns collide: {c1!r} is named twice")
     target_column = smo.param("target_column")
     target_name = smo.param("target")
     if target_name != rel.name:

@@ -17,7 +17,9 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import SchemaMismatch, ValidationError
@@ -33,12 +35,20 @@ _NUMBER_START = frozenset("+-0123456789")  # first characters of _INT_RE / _DEC_
 
 # ---------------------------------------------------------------------------
 # values
+#
+# The value classes hash from their fields directly instead of through the
+# tuple the generated ``__hash__`` builds per call; equality stays the
+# generated one.  The hash is not stored: a slot for it costs more memory
+# than the recomputation costs time.
 
 
 @dataclass(frozen=True, slots=True)
 class Constant:
     lexical: str
-    kind: str
+    kind: str  # derived from ``lexical``, so the hash may leave it out
+
+    def __hash__(self) -> int:
+        return hash(self.lexical)
 
     def __repr__(self) -> str:
         return f"Constant({self.lexical!r})"
@@ -47,6 +57,9 @@ class Constant:
 @dataclass(frozen=True, slots=True)
 class Null:
     label: int
+
+    def __hash__(self) -> int:
+        return hash(self.label)
 
     def __repr__(self) -> str:
         return f"Null({self.label})"
@@ -136,6 +149,9 @@ def constant_order_key(value: Constant) -> tuple:
 class TupleId:
     tag: str
     ordinal: int
+
+    def __hash__(self) -> int:
+        return hash(self.tag) + self.ordinal
 
     def __str__(self) -> str:
         return f"{self.tag}{self.ordinal}"
@@ -278,30 +294,39 @@ class Fact:
     values: tuple[Value, ...]
 
 
+_VALUES = attrgetter("values")
+_ID = attrgetter("id")
+_TAG = attrgetter("id.tag")
+_ORDINAL = attrgetter("id.ordinal")
+
+
+def holds_null(facts: Iterable[Fact]) -> bool:
+    """Whether any of the facts holds a null, tested on the set of value
+    types rather than value by value."""
+    return Null in set(map(type, chain.from_iterable(map(_VALUES, facts))))
+
+
 class Instance:
     """A database instance: per-relation collections of identified facts."""
 
     __slots__ = ("schema", "_facts", "_sorted")
 
     def __init__(self, schema: Schema, facts: Mapping[str, Sequence[Fact]]):
+        """Checks that every fact has its relation's arity, that no tuple id
+        occurs twice and that every relation of ``facts`` is in the schema.
+        The checks run over whole relations first; only when one fails does
+        the fact-by-fact pass run, to raise the first error in fact order."""
         self.schema = schema
-        stored: dict[str, tuple[Fact, ...]] = {}
-        seen_ids: set[TupleId] = set()
+        stored = {rel.name: tuple(facts.get(rel.name, ())) for rel in schema.relations}
+        ids: set[TupleId] = set()
+        valid = stored.keys() >= facts.keys()
         for rel in schema.relations:
-            entries = tuple(facts.get(rel.name, ()))
-            for fact in entries:
-                if len(fact.values) != rel.arity:
-                    raise ValidationError(
-                        f"fact {fact.id} has arity {len(fact.values)}, "
-                        f"relation {rel.name} expects {rel.arity}"
-                    )
-                if fact.id in seen_ids:
-                    raise ValidationError(f"duplicate tuple id {fact.id} in instance")
-                seen_ids.add(fact.id)
-            stored[rel.name] = entries
-        unknown = set(facts) - set(stored)
-        if unknown:
-            raise ValidationError(f"facts for relations not in schema: {sorted(unknown)}")
+            entries = stored[rel.name]
+            if entries and set(map(len, map(_VALUES, entries))) != {rel.arity}:
+                valid = False
+            ids.update(map(_ID, entries))
+        if not valid or len(ids) != sum(map(len, stored.values())):
+            _raise_first_error(schema, stored, facts)
         self._facts = stored
         self._sorted: dict[str, tuple[Fact, ...]] = {}
 
@@ -340,9 +365,7 @@ class Instance:
         return best
 
     def has_nulls(self) -> bool:
-        return any(
-            isinstance(v, Null) for _, f in self.iter_facts() for v in f.values
-        )
+        return holds_null(chain.from_iterable(self._facts.values()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
@@ -354,21 +377,51 @@ class Instance:
         return f"Instance({rels})"
 
 
+def _raise_first_error(schema: Schema, stored: dict[str, tuple[Fact, ...]],
+                       facts: Mapping[str, Sequence[Fact]]) -> None:
+    """Raise the error ``Instance`` reports for facts that fail its checks:
+    the first bad arity or repeated id in fact order, else the relations
+    the schema lacks."""
+    seen_ids: set[TupleId] = set()
+    for rel in schema.relations:
+        for fact in stored[rel.name]:
+            if len(fact.values) != rel.arity:
+                raise ValidationError(
+                    f"fact {fact.id} has arity {len(fact.values)}, "
+                    f"relation {rel.name} expects {rel.arity}"
+                )
+            if fact.id in seen_ids:
+                raise ValidationError(f"duplicate tuple id {fact.id} in instance")
+            seen_ids.add(fact.id)
+    unknown = set(facts) - set(stored)
+    raise ValidationError(f"facts for relations not in schema: {sorted(unknown)}")
+
+
 def seed_allocators(*instances: Instance) -> tuple[NullAllocator, IdAllocator]:
     """Allocators that continue after every null label and tuple id the
-    instances hold, in one pass over their facts."""
+    instances hold.  A relation whose ids share one tag takes its largest
+    ordinal with ``max``; values are read one by one only in relations
+    that hold a null."""
     last_null = 0
     ids = IdAllocator()
     last_id = ids._last
     for inst in instances:
         for facts in inst._facts.values():
-            for fact in facts:
-                tid = fact.id
-                if tid.ordinal > last_id.get(tid.tag, 0):
-                    last_id[tid.tag] = tid.ordinal
-                for v in fact.values:
-                    if type(v) is Null and v.label > last_null:
-                        last_null = v.label
+            if not facts:
+                continue
+            tags = set(map(_TAG, facts))
+            if len(tags) == 1:
+                (tag,) = tags
+                top = max(map(_ORDINAL, facts))
+                if top > last_id.get(tag, 0):
+                    last_id[tag] = top
+            else:
+                for tid in map(_ID, facts):
+                    if tid.ordinal > last_id.get(tid.tag, 0):
+                        last_id[tid.tag] = tid.ordinal
+            if holds_null(facts):
+                last_null = max(last_null, max(
+                    v.label for f in facts for v in f.values if type(v) is Null))
     return NullAllocator(last_null), ids
 
 
@@ -377,8 +430,11 @@ def seed_allocators(*instances: Instance) -> tuple[NullAllocator, IdAllocator]:
 
 
 def fact_sort_key(fact: Fact) -> tuple:
-    """Canonical fact order: value vector, then tuple id."""
-    return (tuple(value_sort_key(v) for v in fact.values), fact.id.sort_key())
+    """Canonical fact order: value vector (by ``value_sort_key``), then
+    tuple id (tag, then ordinal)."""
+    tid = fact.id
+    return ([(0, v.lexical) if type(v) is Constant else (1, v.label)
+             for v in fact.values], tid.tag, tid.ordinal)
 
 
 def _normal_pass(instance: Instance) -> Instance:
@@ -449,6 +505,13 @@ def require_same_schema(a: Instance, b: Instance) -> None:
         )
 
 
+def vector_counts(facts: Iterable[Fact]) -> dict[tuple[Value, ...], int]:
+    """The multiset of the facts' value vectors, as a plain dict: its
+    ``==`` compares in C with the stored hashes, where ``Counter.__eq__``
+    looks every key up again in Python."""
+    return dict(Counter(map(_VALUES, facts)))
+
+
 def instances_equal(a: Instance, b: Instance) -> bool:
     """True iff the normalized instances carry identical value-vector
     multisets per relation.  Tuple ids are ignored; null labels are compared
@@ -464,8 +527,7 @@ def instances_equal(a: Instance, b: Instance) -> bool:
         return False
     if not a_nulls:
         return all(
-            Counter(f.values for f in a.facts(rel))
-            == Counter(f.values for f in b.facts(rel))
+            vector_counts(a.facts(rel)) == vector_counts(b.facts(rel))
             for rel in a.schema.names()
         )
     na, nb = normalize(a), normalize(b)

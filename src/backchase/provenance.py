@@ -8,7 +8,7 @@ sorted with like monomials merged; textual form is ``r1*s1 + 2*r3``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, le
 from typing import Iterable, Iterator
 
 from .errors import ProvenanceError, ValidationError
@@ -29,14 +29,15 @@ _ID_KEY = attrgetter("tag", "ordinal")  # TupleId.sort_key
 
 
 def monomial(ids: Iterable[TupleId]) -> Monomial:
-    return tuple(sorted(ids, key=_ID_KEY))
+    ids = tuple(ids)
+    return ids if len(ids) < 2 else tuple(sorted(ids, key=_ID_KEY))
 
 
 def _mono_key(m: Monomial) -> tuple:
     return tuple(map(_ID_KEY, m))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Polynomial:
     """Canonical semiring polynomial: sorted (monomial, coefficient) pairs.
 
@@ -113,10 +114,16 @@ def format_polynomial(p: Polynomial) -> str:
 
 
 def parse_polynomial(text: str) -> Polynomial:
+    """Read ``format_polynomial``'s text form.  Text already in canonical
+    order (each monomial sorted, the monomials strictly increasing, every
+    coefficient at least 1), as ``format_polynomial`` writes it, is taken
+    as it stands; anything else is canonicalized."""
     text = text.strip()
     if text == "0":
         return Polynomial.zero()
     terms = []
+    canonical = True
+    last_key = None
     for chunk in text.split("+"):
         coeff = 1
         ids: list[TupleId] = []
@@ -134,8 +141,12 @@ def parse_polynomial(text: str) -> Polynomial:
                         f"malformed polynomial coefficient {factor!r}") from None
             else:
                 ids.append(TupleId.parse(factor))
-        terms.append((ids, coeff))
-    return Polynomial.build(terms)  # sorts each monomial
+        key = _mono_key(ids)
+        canonical = (canonical and coeff >= 1 and (last_key is None or last_key < key)
+                     and all(map(le, key, key[1:])))
+        last_key = key
+        terms.append((tuple(ids), coeff))
+    return Polynomial(tuple(terms)) if canonical else Polynomial.build(terms)
 
 
 # ---------------------------------------------------------------------------

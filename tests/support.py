@@ -31,9 +31,7 @@ from backchase.model import (
     IdAllocator,
     NullAllocator,
     constant_order_key,
-    fact_sort_key,
     relation_tag,
-    value_sort_key,
 )
 from backchase.provenance import Polynomial, ProvenanceStore
 from backchase.tgds import Atom, Comparison, SchemaMapping, StTgd, Variable
@@ -92,6 +90,43 @@ def random_ground_instance(
 
 
 # ---------------------------------------------------------------------------
+# the value layer written plainly, value by value
+
+
+def value_key(value) -> tuple:
+    """Canonical value order: constants before nulls, constants by lexical
+    form, nulls by label."""
+    if isinstance(value, Constant):
+        return (0, value.lexical)
+    return (1, value.label)
+
+
+def fact_key(fact: Fact) -> tuple:
+    """Canonical fact order: value vector, then tuple id (tag, ordinal)."""
+    return (tuple(value_key(v) for v in fact.values), (fact.id.tag, fact.id.ordinal))
+
+
+def instance_error(schema: Schema, facts) -> str | None:
+    """The message of the first error ``Instance(schema, facts)`` must
+    raise, checking fact by fact (arity, then a repeated id) in schema
+    order and then the relations the schema lacks; None when it must not
+    raise."""
+    seen = []  # compared by equality alone, not by hash
+    for rel in schema.relations:
+        for fact in facts.get(rel.name, ()):
+            if len(fact.values) != rel.arity:
+                return (f"fact {fact.id} has arity {len(fact.values)}, "
+                        f"relation {rel.name} expects {rel.arity}")
+            if fact.id in seen:
+                return f"duplicate tuple id {fact.id} in instance"
+            seen.append(fact.id)
+    unknown = set(facts) - set(schema.names())
+    if unknown:
+        return f"facts for relations not in schema: {sorted(unknown)}"
+    return None
+
+
+# ---------------------------------------------------------------------------
 # independent brute-force oracles
 
 
@@ -106,7 +141,7 @@ def brute_force_hom_exists(src: Instance, dst: Instance) -> bool:
     }
     candidates = sorted(
         {v for _, f in dst.iter_facts() for v in f.values},
-        key=value_sort_key,
+        key=value_key,
     )
     if not labels:
         return all(
@@ -141,7 +176,7 @@ def brute_force_isomorphic(a: Instance, b: Instance) -> bool:
         return {
             rel: sorted(
                 (tuple(rename(v) for v in f.values) for f in instance.facts(rel)),
-                key=lambda vs: tuple(value_sort_key(v) for v in vs),
+                key=lambda vs: tuple(map(value_key, vs)),
             )
             for rel in instance.schema.names()
         }
@@ -239,7 +274,7 @@ def chase_reference(instance: Instance, mapping: SchemaMapping, mode: str,
     largest ones in ``instance``."""
     functions = functions or default_registry()
     canonical = Instance(instance.schema, {
-        rel: sorted(instance.facts(rel), key=fact_sort_key)
+        rel: sorted(instance.facts(rel), key=fact_key)
         for rel in instance.schema.names()})
     nulls = NullAllocator(max((v.label for _, f in instance.iter_facts()
                                for v in f.values if isinstance(v, Null)), default=0))

@@ -389,9 +389,25 @@ def test_boolean_null_label_exits_2(tmp_path, fixtures_dir, capsys):
     ({"kind": "COPY_TABLE", "table": "R", "copy": "V", "kep": "K"},
      "step 0 (COPY_TABLE): COPY_TABLE has no parameter 'kep'; it takes "
      "['table', 'copy', 'kept']"),
+    # a constant is a string or a number, never another JSON value
+    ({"kind": "PARTITION_TABLE", "table": "R", "targets": ["T1", "T2"],
+      "condition": {"attribute": "z", "op": "<", "value": [1, {"x": 2}]}},
+     "field 'value' must be a string or a number, got [1, {'x': 2}]"),
+    ({"kind": "PARTITION_TABLE", "table": "R", "targets": ["T1", "T2"],
+      "condition": {"attribute": "z", "op": "=", "value": True}},
+     "field 'value' must be a string or a number, got True"),
+    ({"kind": "ADD_COLUMN", "relation": "R", "column": "w", "filler": {"const": None}},
+     "field 'const' must be a string or a number, got None"),
+    ({"kind": "ADD_COLUMN", "relation": "R", "column": "w", "filler": {"const": False}},
+     "field 'const' must be a string or a number, got False"),
+    ({"kind": "MERGE_COLUMN", "relation": "R", "columns": ["y", "y"],
+      "target_column": "s", "function": "dec_add"},
+     "step 0 (MERGE_COLUMN): merged columns collide: 'y' is named twice"),
 ], ids=["condition-null", "condition-attribute-list", "filler-function-list",
         "filler-args-null", "join-column-object", "parts-attributes-null",
-        "merge-column-targt", "copy-table-kep"])
+        "merge-column-targt", "copy-table-kep", "condition-value-list",
+        "condition-value-bool", "filler-const-null", "filler-const-bool",
+        "merge-column-twice"])
 def test_mistyped_nested_parameters_exit_2(tmp_path, capsys, step, fragment):
     ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
     ipath.write_text(json.dumps(FUZZ_INSTANCE))

@@ -21,8 +21,8 @@ from backchase import (
     normalize,
     null,
 )
-from backchase.model import IdAllocator, fact_sort_key, seed_allocators
-from support import inst
+from backchase.model import IdAllocator, seed_allocators
+from support import fact_key, inst
 
 
 def test_constant_kinds():
@@ -338,7 +338,7 @@ def test_canonical_order_is_sorted_facts(r_rows, q_rows, rng):
                                             f.values) for f in facts["Q"]]})
     for rel in schema.names():
         first = instance.sorted_facts(rel)
-        assert list(first) == sorted(instance.facts(rel), key=fact_sort_key)
+        assert list(first) == sorted(instance.facts(rel), key=fact_key)
         assert instance.sorted_facts(rel) is first  # sorted once
 
 

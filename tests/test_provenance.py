@@ -183,3 +183,31 @@ def test_poly_add_of_canonical_polynomials(p, q):
     assert poly_add(p) == Polynomial.build(p.terms)
     assert poly_add(p, q) == Polynomial.build(p.terms + q.terms)
     assert parse_polynomial(format_polynomial(p)) == p
+
+
+def test_parse_canonicalizes_text_out_of_order():
+    r10 = TupleId("r", 10)
+    assert parse_polynomial("r1 + r1") == Polynomial((((r1,), 2),))
+    assert parse_polynomial("r10 + r2") == Polynomial((((r2,), 1), ((r10,), 1)))
+    assert parse_polynomial("s1*r1 + 0*r2") == P(r1, s1)
+    assert parse_polynomial("r1 + 0*r2") == P(r1)
+    assert parse_polynomial("r2 + 1") == Polynomial((((), 1), ((r2,), 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.builds(TupleId, st.sampled_from(["r", "s", "rs"]),
+                                             st.integers(1, 12)), max_size=3),
+                          st.integers(0, 3)), max_size=5).map(Polynomial.build),
+       st.randoms(use_true_random=False))
+def test_shuffled_text_parses_to_the_same_polynomial(p, rng):
+    chunks = []
+    for mono, coeff in p.terms:
+        ids = [str(t) for t in mono]
+        rng.shuffle(ids)
+        # a coefficient is sometimes spelled out as repeated terms
+        for c in [1] * coeff if ids and rng.random() < 0.5 else [coeff]:
+            chunks.append("*".join(([str(c)] if c != 1 or not ids else []) + ids))
+    rng.shuffle(chunks)
+    text = " + ".join(chunks) or "0"
+    assert parse_polynomial(text) == p
+    assert parse_polynomial(format_polynomial(p)) == p

@@ -3,9 +3,13 @@ interpreter's default recursion limit, each finishing in a few seconds.  The
 join roundtrip would take 10^8 body matches per chase without the chase's
 join index."""
 
+import dataclasses
 import random
 
+import pytest
+
 from backchase import (
+    Constant,
     Fact,
     Instance,
     InverseType,
@@ -116,3 +120,15 @@ def test_join_roundtrip_at_size():
     (step,) = result.steps
     assert step.meets_prediction, (step.achieved, step.predicted)
     assert step.achieved == InverseType.EXACT
+
+
+@pytest.mark.parametrize("cls, value, fields", [
+    (Constant, const("a"), ["lexical", "kind"]), (Null, null(1), ["label"]),
+    (TupleId, TupleId("r", 1), ["tag", "ordinal"])])
+def test_value_objects_hold_only_their_fields(cls, value, fields):
+    # a stored hash or any other extra slot would grow every value object
+    # of every instance; the hash is recomputed from the fields instead
+    assert [f.name for f in dataclasses.fields(cls)] == fields
+    slots = [name for klass in cls.__mro__ for name in getattr(klass, "__slots__", ())]
+    assert slots == fields
+    assert not hasattr(value, "__dict__")
