@@ -14,7 +14,10 @@ report.
 Builders return only the operator's own dependencies.  ``compile_forward``
 carries every relation the operator leaves alone by an identity dependency,
 so multi-step scripts chain, and ``compile_inverse`` ends the inverse with
-the same identity dependencies.
+the same identity dependencies.  An inverse builder states what its plan
+does (dependencies and post-steps), never what it needs: the provenance
+level, side tables and inverse function an ``InversePlan`` requires are
+derived from what it does.
 
 Operator classes:
 
@@ -45,7 +48,7 @@ from .analysis import InverseType
 from .chase import chase, matched_source_ids
 from .errors import ValidationError
 from .functions import FunctionRegistry, default_registry
-from .model import Instance, RelationSchema, Schema, const
+from .model import _DEC_RE, Instance, RelationSchema, Schema, const
 from .provenance import SideTableSpec
 from .tgds import (
     Atom,
@@ -62,7 +65,8 @@ from .tgds import (
 NAME, NAMES, PAIR = "name", "list of names", "pair of names"
 CONDITION, JOIN, FILLER, PARTS = "condition", "join", "filler", "parts"
 # Shapes of object fields and list items; a constant is a string or a
-# number (not a bool), read through its text.
+# number (not a bool), read through its text, so a float must print in plain
+# decimal notation.
 _OP, _PART, _CONST = "operator", "part", "constant"
 _OPS = ("<", "<=", "=", ">=", ">")
 
@@ -103,6 +107,10 @@ def _check_param(where: str, shape: str, value) -> None:
     if shape == _CONST and (isinstance(value, bool)
                             or not isinstance(value, (str, int, float))):
         raise ValidationError(f"{where} must be a string or a number, got {value!r}")
+    if shape == _CONST and isinstance(value, float) and not _DEC_RE.match(str(value)):
+        raise ValidationError(
+            f"{where} is a number in exponent form or not finite, got {value!r}; "
+            f"write it as a string, a number in plain decimal notation")
     if shape in (NAMES, PAIR) and not (isinstance(value, (list, tuple))
                                        and all(isinstance(v, str) for v in value)):
         raise ValidationError(f"{where} must be a list of names, got {value!r}")
@@ -677,17 +685,37 @@ class AppendSideRows:
 
 @dataclass(frozen=True)
 class InversePlan:
+    """One step's inverse: dependencies, then post-steps.  What it reads
+    follows from what it does; ``required_side_tables`` holds the operator's
+    side tables that a lookup or an append names."""
+
     smo: SmoSpec
     mapping: SchemaMapping
     lookups: tuple[SideLookupRule, ...] = ()
     expand_before: bool = False
     restrict: RestrictByOrigin | None = None
     appends: tuple[AppendSideRows, ...] = ()
-    required_provenance: str = "none"
     required_side_tables: tuple[SideTableSpec, ...] = ()
-    requires_inverse_function: bool = False
     flagged_non_invertible: bool = False
     notes: tuple[str, ...] = ()
+
+    @property
+    def required_provenance(self) -> str:
+        """``why`` to expand duplicates, look up side rows by witness or
+        restrict to a common origin; ``where`` to append side rows or
+        restrict per relation; otherwise ``none``."""
+        restrict = self.restrict.kind if self.restrict else None
+        if self.expand_before or self.lookups or restrict == "common_origin":
+            return "why"
+        if self.appends or restrict == "per_relation":
+            return "where"
+        return "none"
+
+    @property
+    def requires_inverse_function(self) -> bool:
+        """Whether a dependency of the plan applies a function."""
+        return any(any(tgd.function_terms()) for tgd in
+                   self.mapping.sigma + tuple(r.tgd for r in self.lookups))
 
     def post_steps(self) -> tuple[str, ...]:
         steps = []
@@ -741,15 +769,17 @@ def compile_inverse(
         smo, source, forward, provenance_level, side_tables_available,
         inverse_function_available)
     mapping = SchemaMapping(forward.target, source, tuple(tgds) + tail)
-    return InversePlan(smo=smo, mapping=mapping, **fields)
+    named = ({r.table for r in fields.get("lookups", ())}
+             | {a.table for a in fields.get("appends", ())})
+    side = tuple(s for s in side_table_specs(smo, source) if s.name in named)
+    return InversePlan(smo=smo, mapping=mapping, required_side_tables=side,
+                       **fields)
 
 
 def _expanded(level: str) -> dict:
     """Plan fields of a projection inverse: under why or how provenance the
     rows the forward step merged are first re-expanded by witness count."""
-    if level in ("why", "how"):
-        return {"expand_before": True, "required_provenance": "why"}
-    return {}
+    return {"expand_before": True} if level in ("why", "how") else {}
 
 
 def _no_dependencies(smo, source, forward, level, side, invfn):
@@ -781,7 +811,6 @@ def _inverse_decompose(smo, source, forward, level, side, invfn):
     if level in ("why", "how"):
         return [tgd], {
             "restrict": RestrictByOrigin("common_origin", (rel.name,)),
-            "required_provenance": "why",
             "notes": ("join restricted to part pairs sharing a source row",),
         }
     return [tgd], {}
@@ -792,8 +821,6 @@ def _inverse_drop_table(smo, source, forward, level, side, invfn):
         (spec,) = _drop_table_side_tables(smo, source)
         return [], {
             "appends": (AppendSideRows(spec.name, spec.relation),),
-            "required_provenance": "where",
-            "required_side_tables": (spec,),
             "notes": ("dropped rows return as all-null placeholders, "
                       "one per recorded id",),
         }
@@ -820,8 +847,6 @@ def _inverse_join(smo, source, forward, level, side, invfn):
         specs = _join_side_tables(smo, source)
         return [tgd], {
             "appends": tuple(AppendSideRows(s.name, s.relation) for s in specs),
-            "required_provenance": "where",
-            "required_side_tables": specs,
             "notes": ("dangling rows restored from side tables",),
         }
     return [tgd], {}
@@ -837,7 +862,6 @@ def _inverse_merge_table(smo, source, forward, level, side, invfn):
     if level != "none":
         return tgds, {
             "restrict": RestrictByOrigin("per_relation", (left, right)),
-            "required_provenance": "where",
             "notes": ("rows kept only in the table their origins come from",),
         }
     return tgds, {}
@@ -915,8 +939,6 @@ def _inverse_drop_column(smo, source, forward, level, side, invfn):
         return [], {
             "lookups": (_refill_rule(rel, column, spec.name),),
             "expand_before": True,
-            "required_provenance": "why",
-            "required_side_tables": (spec,),
             "notes": ("dropped values restored from the side table",),
         }
     narrowed = forward.target.relation(rel.name)
@@ -948,9 +970,6 @@ def _inverse_merge_column(smo, source, forward, level, side, invfn):
         return [], {
             "lookups": (lookup,),
             "expand_before": True,
-            "required_provenance": "why",
-            "required_side_tables": specs,
-            "requires_inverse_function": True,
             "notes": ("merged values recomputed with the inverse function and "
                       "the side table",),
         }
@@ -972,8 +991,6 @@ def _inverse_move_column(smo, source, forward, level, side, invfn):
             "lookups": (_refill_rule(partner, moved, specs[1].name),),
             "expand_before": True,
             "appends": (AppendSideRows(specs[0].name, receiver.name),),
-            "required_provenance": "why",
-            "required_side_tables": specs,
             "notes": ("moved values restored from the side table; dangling "
                       "receiver rows appended",),
         }
@@ -1005,10 +1022,7 @@ def _inverse_split_column(smo, source, forward, level, side, invfn):
                        tuple(sv[a] for a in split_rel.attributes)),),
             head=(Atom(rel.name, head_terms),),
         )
-        return [tgd], {
-            "requires_inverse_function": True,
-            "notes": ("halves recombined with the registered function",),
-        }
+        return [tgd], {"notes": ("halves recombined with the registered function",)}
     return [_projection_inverse(split_rel, rel, [column])], _expanded(level)
 
 

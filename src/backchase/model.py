@@ -352,18 +352,6 @@ class Instance:
     def size(self) -> int:
         return sum(len(v) for v in self._facts.values())
 
-    def all_ids(self) -> Iterator[TupleId]:
-        for _, fact in self.iter_facts():
-            yield fact.id
-
-    def max_null_label(self) -> int:
-        best = 0
-        for _, fact in self.iter_facts():
-            for v in fact.values:
-                if isinstance(v, Null) and v.label > best:
-                    best = v.label
-        return best
-
     def has_nulls(self) -> bool:
         return holds_null(chain.from_iterable(self._facts.values()))
 

@@ -41,7 +41,6 @@ from .chase import (
     chase,
     evaluate_term,
     expand_duplicates,
-    iter_body_matches,
     matched_source_ids,
     sorted_facts,
 )
@@ -53,7 +52,6 @@ from .model import (
     Instance,
     NullAllocator,
     TupleId,
-    Value,
     relation_tag,
     seed_allocators,
 )
@@ -133,21 +131,17 @@ def evolve(
 # inverse plan execution
 
 
-def _vector_annotations(step: EvolutionStep) -> dict[tuple[str, tuple[Value, ...]], object]:
-    out = {}
-    for rel, fact in step.target.iter_facts():
-        ann = step.store.annotations.get(fact.id)
-        if ann is not None:
-            out[(rel, fact.values)] = ann
-    return out
-
-
 def _attach_store(j: Instance, step: EvolutionStep) -> ProvenanceStore:
     """Re-key the step's forward annotations onto the instance actually being
     inverted, matching facts by value vector."""
     if j is step.target:
         return step.store
-    by_vector = _vector_annotations(step)
+    forward = step.store.annotations
+    by_vector = {}
+    for rel, fact in step.target.iter_facts():
+        ann = forward.get(fact.id)
+        if ann is not None:
+            by_vector[(rel, fact.values)] = ann
     annotations = {}
     for rel, fact in j.iter_facts():
         ann = by_vector.get((rel, fact.values))
@@ -165,24 +159,21 @@ def _run_lookups(
     ids: IdAllocator,
 ) -> dict[str, list[Fact]]:
     """Reconstruction rules that bind existential variables from side-table
-    rows selected by witness ids."""
+    rows selected by witness ids.  A rule's body is one atom of distinct
+    variables, so each fact binds them in order."""
     extra: dict[str, list[Fact]] = {}
     for rule in plan.lookups:
-        table = step.side_tables.get(rule.table)
-        if table is None:
-            continue
+        table = step.side_tables[rule.table]
         refs = {row.ref: row for row in table.rows}
+        positions = [(var, table.attributes.index(attr))
+                     for var, attr in rule.bindings.items()]
         body_atom = rule.tgd.body[0]
+        names = [t.name for t in body_atom.terms]
         for fact in sorted_facts(j, body_atom.relation):
-            matches = list(iter_body_matches(
-                rule.tgd, {body_atom.relation: [fact]}
-            ))
-            if not matches:
-                continue
-            bindings, _ = matches[0]
             basis = store.witnesses(fact.id)
             if basis is None:
                 continue
+            bindings = dict(zip(names, fact.values))
             for witness in sorted(basis, key=lambda w: sorted(
                     t.sort_key() for t in w)):
                 for tid in sorted(witness, key=lambda t: t.sort_key()):
@@ -190,8 +181,8 @@ def _run_lookups(
                     if row is None:
                         continue
                     full = dict(bindings)
-                    for var, attr in rule.bindings.items():
-                        full[var] = row.values[table.attributes.index(attr)]
+                    for var, pos in positions:
+                        full[var] = row.values[pos]
                     for atom in rule.tgd.head:
                         values = tuple(
                             evaluate_term(t, full, functions) for t in atom.terms
@@ -274,17 +265,13 @@ def _run_appends(
 ) -> dict[str, list[Fact]]:
     extra: dict[str, list[Fact]] = {}
     for append in plan.appends:
-        table = step.side_tables.get(append.table)
-        if table is None:
-            continue
+        table = step.side_tables[append.table]
         rel = target_schema.relation(append.relation)
+        positions = [table.attributes.index(attr) if attr in table.attributes
+                     else None for attr in rel.attributes]
         for row in table.rows:
-            values = []
-            for attr in rel.attributes:
-                if attr in table.attributes:
-                    values.append(row.values[table.attributes.index(attr)])
-                else:
-                    values.append(nulls.fresh())
+            values = [nulls.fresh() if pos is None else row.values[pos]
+                      for pos in positions]
             extra.setdefault(rel.name, []).append(
                 Fact(ids.fresh(relation_tag(rel.name)), tuple(values))
             )
@@ -299,23 +286,24 @@ def execute_plan(
     nulls: NullAllocator,
     ids: IdAllocator,
 ) -> Instance:
-    """Run one step's inverse: optional duplicate expansion, the inverse
-    dependencies on the chase engine, then side lookups, origin restriction
-    and side-table appends."""
+    """Run one step's inverse as compiled (a plan holds a post-step only at
+    a level whose store holds what it reads): optional duplicate expansion,
+    the inverse dependencies on the chase engine, then side lookups, origin
+    restriction and side-table appends."""
     store = _attach_store(j, step)
-    if plan.expand_before and store.mode in ("why", "how"):
+    if plan.expand_before:
         j, store = expand_duplicates(j, store, ids)
 
-    internal_mode = "how" if store.mode != "none" else "none"
-    reconstructed_inst, inv_store = chase(
-        j, plan.mapping, internal_mode, functions, nulls, ids
-    )
+    # only the origin restriction reads the inverse chase's provenance; the
+    # facts, ids and nulls the chase makes do not depend on the mode
+    mode = "how" if plan.restrict is not None else "none"
+    reconstructed_inst, inv_store = chase(j, plan.mapping, mode, functions, nulls, ids)
     reconstructed = {
         rel: list(reconstructed_inst.facts(rel))
         for rel in reconstructed_inst.schema.names()
     }
 
-    if plan.restrict is not None and store.mode != "none":
+    if plan.restrict is not None:
         _apply_restrict(plan.restrict, reconstructed, inv_store, store, step, ids)
 
     for rel, facts in _run_lookups(plan, j, store, step, functions, ids).items():
@@ -376,14 +364,12 @@ def backchase(
     """
     functions = functions or default_registry()
     instances = [run.initial] + [s.target for s in run.steps]
-    nulls, ids = seed_allocators(*instances)
     current = run.final
     if restrict_to is not None:
         _check_subset(restrict_to, run.final)
-        nulls = NullAllocator(max(nulls.last, restrict_to.max_null_label()))
-        for tid in restrict_to.all_ids():
-            ids.reserve(tid)
+        instances.append(restrict_to)
         current = restrict_to
+    nulls, ids = seed_allocators(*instances)
     inversions: list[StepInversion] = []
     for step in reversed(run.steps):
         side_avail = run.side_tables_enabled and bool(step.side_tables)

@@ -172,7 +172,9 @@ def load_run(run_dir: Path) -> EvolutionRun:
     directories as script steps, each step's source equal to the previous
     step's target (the initial instance for step 0), ``target.json`` equal
     to the last step's target, and each step's instances, store and side
-    tables fitting its operator and the run's provenance mode.
+    tables fitting its operator and the run's provenance mode.  A step holds
+    exactly the side tables its operator keeps when the run records side
+    tables on, and none when it records them off.
 
     Each instance file is read once; a file whose text equals the instance
     it must equal is not parsed again, and the already built instance is
@@ -198,6 +200,7 @@ def load_run(run_dir: Path) -> EvolutionRun:
             f"'dir' must be strings"
         )
     check_mode(mode)
+    side_tables = bool(manifest.get("side_tables_enabled"))
     script = script_from_json(script_obj)
     if len(step_dirs) != len(script):
         raise ValidationError(
@@ -233,27 +236,26 @@ def load_run(run_dir: Path) -> EvolutionRun:
         if not isinstance(tables_obj, list):
             raise ValidationError(f"{tables_path} must hold a list of side tables")
         specs = {spec.name: spec for spec in side_table_specs(smo, source.schema)}
-        tables = {}
-        for obj in tables_obj:
-            table = side_table_from_json(obj)
-            spec = specs.get(table.name)
-            if spec is not None and table.attributes != spec.attributes:
+        tables = [side_table_from_json(obj) for obj in tables_obj]
+        names = sorted(table.name for table in tables)
+        expected = sorted(specs) if side_tables else []
+        if names != expected:
+            raise ValidationError(
+                f"{tables_path} holds side tables {names}; with side tables "
+                f"{'on' if side_tables else 'off'}, {smo.kind} keeps {expected}"
+            )
+        for table in tables:
+            kept = specs[table.name].attributes
+            if table.attributes != kept:
                 raise ValidationError(
                     f"{tables_path}: side table {table.name} has attributes "
-                    f"{list(table.attributes)}, {smo.kind} keeps "
-                    f"{list(spec.attributes)}"
+                    f"{list(table.attributes)}, {smo.kind} keeps {list(kept)}"
                 )
-            tables[table.name] = table
-        steps.append(EvolutionStep(i, smo, mapping, source, target, store, tables))
+        steps.append(EvolutionStep(i, smo, mapping, source, target, store,
+                                   {table.name: table for table in tables}))
         prev_path, prev_text, prev = target_path, target_text, target
     _check_repeats(run_dir / final_name, prev_path, prev_text, prev)
-    return EvolutionRun(
-        mode,
-        bool(manifest.get("side_tables_enabled")),
-        script,
-        initial,
-        steps,
-    )
+    return EvolutionRun(mode, side_tables, script, initial, steps)
 
 
 def _check_repeats(path: Path, original_path: Path, original_text: str,

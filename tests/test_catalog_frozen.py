@@ -45,7 +45,7 @@ from backchase.catalog import (
 )
 from backchase.cli import main as cli_main
 from backchase.functions import default_registry
-from backchase.tgds import format_tgd
+from backchase.tgds import Variable, format_tgd
 from support import RESOURCE_CONFIGS, SMO_CASES, random_script
 
 FIXTURE = Path(__file__).parent / "fixtures" / "catalog_frozen.json"
@@ -120,7 +120,13 @@ def derive(spec: dict) -> dict:
     for level, side in RESOURCE_CONFIGS:
         for invfn in (False, True):
             key = f"{level}/{int(side)}/{int(invfn)}"
-            plans[key] = _plan_json(compile_inverse(smo, schema, level, side, invfn))
+            plan = compile_inverse(smo, schema, level, side, invfn)
+            for rule in plan.lookups:
+                # the lookup binds its body atom's terms to a fact's values
+                (atom,) = rule.tgd.body
+                assert all(isinstance(t, Variable) for t in atom.terms)
+                assert len(set(atom.terms)) == len(atom.terms)
+            plans[key] = _plan_json(plan)
             predicted[key] = {
                 name: predicted_inverse_type(smo, level, side, invfn, feats).value
                 for name, feats in FEATURES.items()

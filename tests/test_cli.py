@@ -338,6 +338,46 @@ def test_side_table_with_other_attributes_exits_2(tmp_path, fixtures_dir, capsys
                     "DROP_COLUMN keeps ['subject']")
 
 
+def _no_tables(tables):
+    return []
+
+
+def _left_table_only(tables):
+    return [t for t in tables if t["name"] == "R_dangling"]
+
+
+def _extra_table(tables):
+    return tables + [{"name": "W_dangling", "attributes": ["id"], "rows": []}]
+
+
+def _join_tables(tables):
+    return json.loads((FIXTURES / "join_dangling_side_tables.json").read_text())
+
+
+@pytest.mark.parametrize("flags, change, fragment", [
+    (["--side-tables"], _no_tables,
+     "holds side tables []; with side tables on, JOIN_TABLE keeps "
+     "['R_dangling', 'V_dangling']"),
+    (["--side-tables"], _left_table_only,
+     "holds side tables ['R_dangling']; with side tables on"),
+    (["--side-tables"], _extra_table,
+     "holds side tables ['R_dangling', 'V_dangling', 'W_dangling']"),
+    ([], _join_tables, "with side tables off, JOIN_TABLE keeps []"),
+], ids=["emptied", "one-dropped", "unknown-extra", "tables-when-off"])
+def test_side_tables_not_the_operators_exit_2(tmp_path, fixtures_dir, capsys,
+                                              flags, change, fragment):
+    # a missing table would otherwise be skipped and its rows silently lost
+    run = tmp_path / "run"
+    assert run_cli("evolve",
+                   "--in", str(fixtures_dir / "join_dangling_source.json"),
+                   "--script", str(fixtures_dir / "join_dangling_script.json"),
+                   "--provenance", "how", *flags, "--out", str(run)) == 0
+    path = run / "step_00" / "side_tables.json"
+    path.write_text(json.dumps(change(json.loads(path.read_text()))))
+    assert_rejected(run, tmp_path, capsys, str(Path("step_00") / "side_tables.json"),
+                    fragment)
+
+
 @pytest.mark.parametrize("store, fragment", [
     ([], "must be an object"),
     ({"mode": "how", "annotations": []}, "'annotations' must be an object"),
@@ -403,11 +443,27 @@ def test_boolean_null_label_exits_2(tmp_path, fixtures_dir, capsys):
     ({"kind": "MERGE_COLUMN", "relation": "R", "columns": ["y", "y"],
       "target_column": "s", "function": "dec_add"},
      "step 0 (MERGE_COLUMN): merged columns collide: 'y' is named twice"),
+    # a float whose text is not a plain decimal would become a text constant
+    ({"kind": "PARTITION_TABLE", "table": "R", "targets": ["T1", "T2"],
+      "condition": {"attribute": "z", "op": "<", "value": 1e-07}},
+     "field 'value' is a number in exponent form or not finite, got 1e-07; "
+     "write it as a string"),
+    ({"kind": "PARTITION_TABLE", "table": "R", "targets": ["T1", "T2"],
+      "condition": {"attribute": "z", "op": ">", "value": 1e16}},
+     "field 'value' is a number in exponent form or not finite, got 1e+16"),
+    ({"kind": "PARTITION_TABLE", "table": "R", "targets": ["T1", "T2"],
+      "condition": {"attribute": "z", "op": "=", "value": float("nan")}},
+     "field 'value' is a number in exponent form or not finite, got nan"),
+    ({"kind": "ADD_COLUMN", "relation": "R", "column": "w",
+      "filler": {"const": float("inf")}},
+     "field 'const' is a number in exponent form or not finite, got inf"),
 ], ids=["condition-null", "condition-attribute-list", "filler-function-list",
         "filler-args-null", "join-column-object", "parts-attributes-null",
         "merge-column-targt", "copy-table-kep", "condition-value-list",
         "condition-value-bool", "filler-const-null", "filler-const-bool",
-        "merge-column-twice"])
+        "merge-column-twice", "condition-value-exponent",
+        "condition-value-exponent-large", "condition-value-nan",
+        "filler-const-infinity"])
 def test_mistyped_nested_parameters_exit_2(tmp_path, capsys, step, fragment):
     ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
     ipath.write_text(json.dumps(FUZZ_INSTANCE))

@@ -343,12 +343,16 @@ def test_canonical_order_is_sorted_facts(r_rows, q_rows, rng):
 
 
 def seed_allocators_by_generators(*instances):
-    """The allocator seeding as it was, through the instance's generators."""
-    nulls = NullAllocator(max((i.max_null_label() for i in instances), default=0))
+    """The allocator seeding as it was: one scan for the largest null label,
+    one for every tuple id."""
+    nulls = NullAllocator(max((v.label for i in instances
+                               for _, fact in i.iter_facts()
+                               for v in fact.values if isinstance(v, Null)),
+                              default=0))
     ids = IdAllocator()
     for instance in instances:
-        for tid in instance.all_ids():
-            ids.reserve(tid)
+        for _, fact in instance.iter_facts():
+            ids.reserve(fact.id)
     return nulls, ids
 
 
