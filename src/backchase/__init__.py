@@ -19,7 +19,6 @@ from .catalog import (
     compile_forward,
     compile_inverse,
     instance_features,
-    predicted_inverse_type,
     script_from_json,
     script_to_json,
 )

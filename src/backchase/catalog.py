@@ -6,18 +6,18 @@ operator: its class, inverse operator names and description, its parameters
 with their shapes and the defaults of the optional ones (``SmoSpec`` checks
 every spec against them once), the builder of its forward source-to-target
 dependencies, the builder of its inverse plan per available resource level,
-the side tables that inverse needs, whether a function registry carries its
-inverse function, the instance features its prediction reads, and its
-predicted inverse type, a guaranteed lower bound on what the classifier will
-report.
+and the instance features its plans' guarantees read.
 
 Builders return only the operator's own dependencies.  ``compile_forward``
 carries every relation the operator leaves alone by an identity dependency,
 so multi-step scripts chain, and ``compile_inverse`` ends the inverse with
 the same identity dependencies.  An inverse builder states what its plan
-does (dependencies and post-steps), never what it needs: the provenance
-level, side tables and inverse function an ``InversePlan`` requires are
-derived from what it does.
+does (dependencies and post-steps) and the inverse type it guarantees, a
+lower bound on what the classifier will report, never what it needs: the
+provenance level, side tables and inverse function an ``InversePlan``
+requires are derived from what it does.  An operator's side tables, and
+whether a function registry carries its inverse functions, are those of its
+strongest plan.
 
 Operator classes:
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .analysis import InverseType
+from .analysis import InverseType, weakest
 from .chase import chase, matched_source_ids
 from .errors import ValidationError
 from .functions import FunctionRegistry, default_registry
@@ -183,11 +183,9 @@ def script_from_json(obj) -> list[SmoSpec]:
             raise ValidationError(
                 f"script step must be an object with 'kind': {step!r}")
         params = {k: v for k, v in step.items() if k not in ("kind", "variant")}
-        try:
-            variant = int(step.get("variant", 1))
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"variant must be 1 or 2, got {step['variant']!r}") from None
+        variant = step.get("variant", 1)
+        if type(variant) is not int or variant not in (1, 2):  # not a bool
+            raise ValidationError(f"variant must be 1 or 2, got {variant!r}")
         try:
             script.append(SmoSpec(step["kind"], params, variant))
         except ValidationError as exc:
@@ -600,12 +598,7 @@ def _forward_nop(smo: SmoSpec, source: Schema):
 
 
 # ---------------------------------------------------------------------------
-# side tables
-
-
-def side_table_specs(smo: SmoSpec, source: Schema) -> tuple[SideTableSpec, ...]:
-    """Side tables the operator needs for its strongest inverse."""
-    return OPERATORS[smo.kind].side_tables(smo, source)
+# inverse plans
 
 
 def _dangling_rows(rel: RelationSchema) -> SideTableSpec:
@@ -618,47 +611,14 @@ def _column_values(rel: RelationSchema, column: str) -> SideTableSpec:
                          (column,))
 
 
-def _no_side_tables(smo: SmoSpec, source: Schema) -> tuple[SideTableSpec, ...]:
-    return ()
-
-
-def _join_side_tables(smo: SmoSpec, source: Schema):
-    return (_dangling_rows(source.relation(smo.param("left"))),
-            _dangling_rows(source.relation(smo.param("right"))))
-
-
-def _drop_table_side_tables(smo: SmoSpec, source: Schema):
-    rel = source.relation(smo.param("table"))
-    return (SideTableSpec(f"{rel.name}_dropped", rel.name, "projection", ()),)
-
-
-def _drop_column_side_tables(smo: SmoSpec, source: Schema):
-    return (_column_values(source.relation(smo.param("relation")),
-                           smo.param("column")),)
-
-
-def _merge_column_side_tables(smo: SmoSpec, source: Schema):
-    return (_column_values(source.relation(smo.param("relation")),
-                           smo.param("columns")[1]),)
-
-
-def _move_column_side_tables(smo: SmoSpec, source: Schema):
-    return (_dangling_rows(source.relation(smo.param("relation"))),
-            _column_values(source.relation(smo.param("source")),
-                           smo.param("column")))
-
-
-# ---------------------------------------------------------------------------
-# inverse plans
-
-
 @dataclass(frozen=True)
 class SideLookupRule:
     """A reconstruction dependency whose existential variables are bound from
-    a side table row selected by the witness ids of the matched fact."""
+    a row of the side table ``spec`` selected by the witness ids of the
+    matched fact."""
 
     tgd: StTgd
-    table: str
+    spec: SideTableSpec
     bindings: Mapping[str, str]  # existential variable -> side table attribute
 
 
@@ -679,15 +639,25 @@ class RestrictByOrigin:
 
 @dataclass(frozen=True)
 class AppendSideRows:
-    table: str
-    relation: str
+    """Post-step appending the rows of the side table ``spec`` to the
+    relation they were kept from, ``spec.relation``."""
+
+    spec: SideTableSpec
+
+
+@dataclass(frozen=True)
+class InstanceFeatures:
+    has_dangling: bool = False
+    has_duplicates: bool = False
 
 
 @dataclass(frozen=True)
 class InversePlan:
-    """One step's inverse: dependencies, then post-steps.  What it reads
-    follows from what it does; ``required_side_tables`` holds the operator's
-    side tables that a lookup or an append names."""
+    """One step's inverse: dependencies, then post-steps, and the inverse
+    type it guarantees.  ``guarantee`` holds on every conforming instance;
+    ``if_dangling`` and ``if_duplicates``, when set, are the weaker types
+    that hold on an instance with danglings or duplicates.  What the plan
+    reads follows from what it does."""
 
     smo: SmoSpec
     mapping: SchemaMapping
@@ -695,9 +665,28 @@ class InversePlan:
     expand_before: bool = False
     restrict: RestrictByOrigin | None = None
     appends: tuple[AppendSideRows, ...] = ()
-    required_side_tables: tuple[SideTableSpec, ...] = ()
     flagged_non_invertible: bool = False
     notes: tuple[str, ...] = ()
+    guarantee: InverseType = InverseType.EXACT
+    if_dangling: InverseType | None = None
+    if_duplicates: InverseType | None = None
+
+    def predicted(self, features: InstanceFeatures = InstanceFeatures()
+                  ) -> InverseType:
+        """Guaranteed lower bound on the classification the plan achieves
+        on an instance with ``features``."""
+        types = [self.guarantee]
+        if features.has_dangling and self.if_dangling:
+            types.append(self.if_dangling)
+        if features.has_duplicates and self.if_duplicates:
+            types.append(self.if_duplicates)
+        return weakest(types)
+
+    @property
+    def required_side_tables(self) -> tuple[SideTableSpec, ...]:
+        """The side tables the appends read, then those the lookups read."""
+        return tuple(dict.fromkeys([a.spec for a in self.appends]
+                                   + [r.spec for r in self.lookups]))
 
     @property
     def required_provenance(self) -> str:
@@ -711,11 +700,15 @@ class InversePlan:
             return "where"
         return "none"
 
+    def function_terms(self) -> list[FunctionTerm]:
+        """The function applications in the plan's dependencies."""
+        return [t for tgd in self.mapping.sigma + tuple(r.tgd for r in self.lookups)
+                for t in tgd.function_terms()]
+
     @property
     def requires_inverse_function(self) -> bool:
         """Whether a dependency of the plan applies a function."""
-        return any(any(tgd.function_terms()) for tgd in
-                   self.mapping.sigma + tuple(r.tgd for r in self.lookups))
+        return bool(self.function_terms())
 
     def post_steps(self) -> tuple[str, ...]:
         steps = []
@@ -730,23 +723,20 @@ class InversePlan:
         return tuple(steps)
 
 
-def inverse_function_ready(smo: SmoSpec, functions: FunctionRegistry) -> bool:
-    """Whether the registry carries what the operator's exact inverse needs."""
-    return OPERATORS[smo.kind].inverse_function_ready(smo, functions)
+def side_table_specs(smo: SmoSpec, source: Schema) -> tuple[SideTableSpec, ...]:
+    """Side tables the operator needs for its strongest inverse."""
+    return compile_inverse(smo, source, "how", True, True).required_side_tables
 
 
-def _no_inverse_function(smo: SmoSpec, functions: FunctionRegistry) -> bool:
-    return False
-
-
-def _merge_column_inverse_ready(smo: SmoSpec, functions: FunctionRegistry) -> bool:
-    name = smo.param("function")
-    return functions.has(name) and functions.has_inverse(name)
-
-
-def _split_column_inverse_ready(smo: SmoSpec, functions: FunctionRegistry) -> bool:
-    recombine = smo.param("recombine")
-    return bool(recombine) and functions.has(recombine)
+def inverse_function_ready(smo: SmoSpec, source: Schema,
+                           functions: FunctionRegistry) -> bool:
+    """Whether the operator's strongest inverse applies a function and the
+    registry carries each one it applies, and its inverse where the plan
+    applies that."""
+    terms = compile_inverse(smo, source, "how", True, True).function_terms()
+    return bool(terms) and all(
+        functions.has_inverse(t.function) if t.inverse else functions.has(t.function)
+        for t in terms)
 
 
 def compile_inverse(
@@ -769,17 +759,17 @@ def compile_inverse(
         smo, source, forward, provenance_level, side_tables_available,
         inverse_function_available)
     mapping = SchemaMapping(forward.target, source, tuple(tgds) + tail)
-    named = ({r.table for r in fields.get("lookups", ())}
-             | {a.table for a in fields.get("appends", ())})
-    side = tuple(s for s in side_table_specs(smo, source) if s.name in named)
-    return InversePlan(smo=smo, mapping=mapping, required_side_tables=side,
-                       **fields)
+    return InversePlan(smo=smo, mapping=mapping, **fields)
 
 
 def _expanded(level: str) -> dict:
     """Plan fields of a projection inverse: under why or how provenance the
-    rows the forward step merged are first re-expanded by witness count."""
-    return {"expand_before": True} if level in ("why", "how") else {}
+    rows the forward step merged are first re-expanded by witness count, so
+    tuples are kept; without, they are kept only when no rows merged."""
+    if level in ("why", "how"):
+        return {"expand_before": True, "guarantee": InverseType.TP_RELAXED}
+    return {"guarantee": InverseType.TP_RELAXED,
+            "if_duplicates": InverseType.RELAXED}
 
 
 def _no_dependencies(smo, source, forward, level, side, invfn):
@@ -812,19 +802,22 @@ def _inverse_decompose(smo, source, forward, level, side, invfn):
         return [tgd], {
             "restrict": RestrictByOrigin("common_origin", (rel.name,)),
             "notes": ("join restricted to part pairs sharing a source row",),
+            "guarantee": InverseType.TP_RELAXED,
         }
-    return [tgd], {}
+    return [tgd], {"if_duplicates": InverseType.RESULT_EQUIVALENT}
 
 
 def _inverse_drop_table(smo, source, forward, level, side, invfn):
     if side and level != "none":
-        (spec,) = _drop_table_side_tables(smo, source)
+        rel = source.relation(smo.param("table"))
+        spec = SideTableSpec(f"{rel.name}_dropped", rel.name, "projection", ())
         return [], {
-            "appends": (AppendSideRows(spec.name, spec.relation),),
+            "appends": (AppendSideRows(spec),),
             "notes": ("dropped rows return as all-null placeholders, "
                       "one per recorded id",),
+            "guarantee": InverseType.TP_RELAXED,
         }
-    return [], {}
+    return [], {"guarantee": InverseType.RELAXED}
 
 
 def _inverse_join(smo, source, forward, level, side, invfn):
@@ -844,12 +837,12 @@ def _inverse_join(smo, source, forward, level, side, invfn):
         head=(Atom(left.name, tv[: left.arity]), Atom(right.name, right_terms)),
     )
     if side and level != "none":
-        specs = _join_side_tables(smo, source)
         return [tgd], {
-            "appends": tuple(AppendSideRows(s.name, s.relation) for s in specs),
+            "appends": (AppendSideRows(_dangling_rows(left)),
+                        AppendSideRows(_dangling_rows(right))),
             "notes": ("dangling rows restored from side tables",),
         }
-    return [tgd], {}
+    return [tgd], {"if_dangling": InverseType.RELAXED}
 
 
 def _inverse_merge_table(smo, source, forward, level, side, invfn):
@@ -864,7 +857,7 @@ def _inverse_merge_table(smo, source, forward, level, side, invfn):
             "restrict": RestrictByOrigin("per_relation", (left, right)),
             "notes": ("rows kept only in the table their origins come from",),
         }
-    return tgds, {}
+    return tgds, {"guarantee": InverseType.RESULT_EQUIVALENT}
 
 
 def _inverse_partition(smo, source, forward, level, side, invfn):
@@ -908,9 +901,9 @@ def _projection_inverse(rel_out: RelationSchema, rel_in: RelationSchema,
     )
 
 
-def _refill_rule(rel: RelationSchema, column: str, table: str) -> SideLookupRule:
+def _refill_rule(rel: RelationSchema, column: str) -> SideLookupRule:
     """Rebuild ``rel`` rows from rows lacking ``column``, whose value is read
-    from the side table ``table``."""
+    from the side table of its values."""
     varmap = _attr_vars(rel)
     head_terms = tuple(
         Variable("C") if a == column else varmap[a] for a in rel.attributes
@@ -920,7 +913,7 @@ def _refill_rule(rel: RelationSchema, column: str, table: str) -> SideLookupRule
         StTgd(body=(Atom(rel.name, body_terms),),
               head=(Atom(rel.name, head_terms),),
               existential_vars=frozenset({"C"})),
-        table=table,
+        spec=_column_values(rel, column),
         bindings={"C": column},
     )
 
@@ -935,9 +928,8 @@ def _inverse_drop_column(smo, source, forward, level, side, invfn):
     rel = source.relation(smo.param("relation"))
     column = smo.param("column")
     if level in ("why", "how") and side:
-        (spec,) = _drop_column_side_tables(smo, source)
         return [], {
-            "lookups": (_refill_rule(rel, column, spec.name),),
+            "lookups": (_refill_rule(rel, column),),
             "expand_before": True,
             "notes": ("dropped values restored from the side table",),
         }
@@ -958,13 +950,12 @@ def _inverse_merge_column(smo, source, forward, level, side, invfn):
             inverse if a == c1 else Variable("C") if a == c2 else mv[a]
             for a in rel.attributes
         )
-        specs = _merge_column_side_tables(smo, source)
         lookup = SideLookupRule(
             StTgd(body=(Atom(merged.name,
                              tuple(mv[a] for a in merged.attributes)),),
                   head=(Atom(rel.name, head_terms),),
                   existential_vars=frozenset({"C"})),
-            table=specs[0].name,
+            spec=_column_values(rel, c2),
             bindings={"C": c2},
         )
         return [], {
@@ -986,11 +977,10 @@ def _inverse_move_column(smo, source, forward, level, side, invfn):
     moved = smo.param("column")
     receiver_tgd = _projection(forward.target.relation(receiver.name), receiver)
     if side and level in ("why", "how"):
-        specs = _move_column_side_tables(smo, source)
         return [receiver_tgd], {
-            "lookups": (_refill_rule(partner, moved, specs[1].name),),
+            "lookups": (_refill_rule(partner, moved),),
             "expand_before": True,
-            "appends": (AppendSideRows(specs[0].name, receiver.name),),
+            "appends": (AppendSideRows(_dangling_rows(receiver)),),
             "notes": ("moved values restored from the side table; dangling "
                       "receiver rows appended",),
         }
@@ -998,6 +988,7 @@ def _inverse_move_column(smo, source, forward, level, side, invfn):
     return [receiver_tgd, _projection_inverse(reduced, partner, [moved])], {
         "flagged_non_invertible": level == "none" and not side,
         "notes": ("moved values cannot be recovered without side tables",),
+        "guarantee": InverseType.NONE,
     }
 
 
@@ -1027,22 +1018,16 @@ def _inverse_split_column(smo, source, forward, level, side, invfn):
 
 
 # ---------------------------------------------------------------------------
-# instance features and predicted types
-
-
-@dataclass(frozen=True)
-class InstanceFeatures:
-    has_dangling: bool = False
-    has_duplicates: bool = False
+# instance features
 
 
 def instance_features(smo: SmoSpec, instance: Instance,
                       functions: FunctionRegistry | None = None) -> InstanceFeatures:
-    """The features of a concrete source instance that the operator's
-    predicted type reads: danglings (rows no trigger consumes) for
+    """The features of a concrete source instance that the guarantees of
+    the operator's plans read: danglings (rows no trigger consumes) for
     ``JOIN_TABLE``, duplicates (rows the operator's output collapses) for
     ``DECOMPOSE_TABLE``, ``DROP_COLUMN``, ``MERGE_COLUMN`` and
-    ``SPLIT_COLUMN``.  Every other operator's prediction reads none, and its
+    ``SPLIT_COLUMN``.  Every other operator's plans read none, and its
     features stay at their defaults."""
     features = OPERATORS[smo.kind].features
     if features is None:
@@ -1089,81 +1074,6 @@ def _shared_key_duplicates(smo: SmoSpec, instance: Instance,
     return InstanceFeatures()
 
 
-def predicted_inverse_type(
-    smo: SmoSpec,
-    provenance_level: str = "none",
-    side_tables_available: bool = False,
-    inverse_function_available: bool = False,
-    features: InstanceFeatures = InstanceFeatures(),
-) -> InverseType:
-    """Guaranteed lower bound on the classification a roundtrip achieves."""
-    return OPERATORS[smo.kind].predict(
-        provenance_level, side_tables_available, inverse_function_available,
-        features)
-
-
-def _predict_exact(level, side, invfn, features) -> InverseType:
-    return InverseType.EXACT
-
-
-def _predict_join(level, side, invfn, features) -> InverseType:
-    if side and level != "none":
-        return InverseType.EXACT
-    return InverseType.RELAXED if features.has_dangling else InverseType.EXACT
-
-
-def _predict_merge_table(level, side, invfn, features) -> InverseType:
-    if level != "none":
-        return InverseType.EXACT
-    return InverseType.RESULT_EQUIVALENT
-
-
-def _predict_drop_table(level, side, invfn, features) -> InverseType:
-    if side and level != "none":
-        return InverseType.TP_RELAXED
-    return InverseType.RELAXED
-
-
-def _predict_move_column(level, side, invfn, features) -> InverseType:
-    if side and level in ("why", "how"):
-        return InverseType.EXACT
-    return InverseType.NONE
-
-
-def _predict_decompose(level, side, invfn, features) -> InverseType:
-    if level in ("why", "how"):
-        return InverseType.TP_RELAXED
-    if features.has_duplicates:
-        return InverseType.RESULT_EQUIVALENT
-    return InverseType.EXACT
-
-
-def _projected(level: str, features: InstanceFeatures) -> InverseType:
-    """A projection inverse keeps tuples when witness counts re-expand the
-    merged rows (why/how) or when no rows merged."""
-    if level in ("why", "how") or not features.has_duplicates:
-        return InverseType.TP_RELAXED
-    return InverseType.RELAXED
-
-
-def _predict_split_column(level, side, invfn, features) -> InverseType:
-    if invfn:
-        return InverseType.EXACT
-    return _projected(level, features)
-
-
-def _predict_merge_column(level, side, invfn, features) -> InverseType:
-    if level in ("why", "how") and side and invfn:
-        return InverseType.EXACT
-    return _projected(level, features)
-
-
-def _predict_drop_column(level, side, invfn, features) -> InverseType:
-    if level in ("why", "how") and side:
-        return InverseType.EXACT
-    return _projected(level, features)
-
-
 # ---------------------------------------------------------------------------
 # the catalog
 
@@ -1175,10 +1085,10 @@ class Operator:
     ``forward(smo, source)`` returns the target schema, the operator's own
     dependencies and the names of the source relations it touches.
     ``inverse(smo, source, forward, level, side, invfn)`` returns the
-    operator's own inverse dependencies and the other ``InversePlan`` fields
-    for a provenance level, side-table and inverse-function availability.
-    ``predict(level, side, invfn, features)`` is the predicted inverse type.
-    ``features`` computes the ``InstanceFeatures`` that ``predict`` reads.
+    operator's own inverse dependencies and the other ``InversePlan`` fields,
+    the plan's guarantee among them, for a provenance level, side-table and
+    inverse-function availability.  ``features`` computes the
+    ``InstanceFeatures`` that those guarantees read.
     ``params`` maps each parameter to its shape; ``optional`` maps each
     parameter a spec may omit to the parameter whose value it then takes,
     or to None.
@@ -1193,10 +1103,7 @@ class Operator:
     params: Mapping[str, str]
     optional: Mapping[str, str | None] = field(default_factory=dict)
     variants: int = 1
-    side_tables: Callable = _no_side_tables
-    inverse_function_ready: Callable = _no_inverse_function
     features: Callable | None = None
-    predict: Callable = _predict_exact  # class I: exact everywhere
 
 
 def _rel(name: str, *attributes: str) -> RelationSchema:
@@ -1227,7 +1134,7 @@ OPERATORS: dict[str, Operator] = {
         ("III",), ("ADD_COLUMN", "JOIN_TABLE"),
         "project a table onto two overlapping parts",
         _forward_decompose, _inverse_decompose, variants=2,
-        features=_shared_key_duplicates, predict=_predict_decompose,
+        features=_shared_key_duplicates,
         demo=(Schema.of(_rel("R", "a1", "a2", "a3")),
               {"table": "R",
                "parts": [{"name": "R1", "attributes": ["a1", "a2"]},
@@ -1236,15 +1143,12 @@ OPERATORS: dict[str, Operator] = {
     "DROP_TABLE": Operator(
         ("IV",), ("CREATE_TABLE",), "remove a table",
         _forward_drop_table, _inverse_drop_table,
-        side_tables=_drop_table_side_tables, predict=_predict_drop_table,
         demo=(Schema.of(_rel("R", "a1", "a2"), _rel("V", "b1", "b2")),
               {"table": "R"}),
         params={"table": NAME}),
     "JOIN_TABLE": Operator(
         ("II",), ("DECOMPOSE_TABLE",), "fuse two tables along a join condition",
-        _forward_join, _inverse_join,
-        side_tables=_join_side_tables, features=_join_danglings,
-        predict=_predict_join,
+        _forward_join, _inverse_join, features=_join_danglings,
         demo=(_PAIR, {"left": "R", "right": "V", "left_column": "name",
                       "right_column": "name", "target": "T"}),
         params=dict.fromkeys(("left", "right", "left_column", "right_column",
@@ -1252,7 +1156,6 @@ OPERATORS: dict[str, Operator] = {
     "MERGE_TABLE": Operator(
         ("IV",), ("PARTITION_TABLE",), "union two tables of equal shape into one",
         _forward_merge_table, _inverse_merge_table,
-        predict=_predict_merge_table,
         demo=(Schema.of(_rel("R", "a1", "a2", "a3"), _rel("V", "a1", "a2", "a3")),
               {"left": "R", "right": "V", "target": "T"}),
         params=dict.fromkeys(("left", "right", "target"), NAME)),
@@ -1284,18 +1187,13 @@ OPERATORS: dict[str, Operator] = {
         params=_PARTNER_PARAMS, optional={"as": "column"}),
     "DROP_COLUMN": Operator(
         ("III",), ("ADD_COLUMN",), "remove a column",
-        _forward_drop_column, _inverse_drop_column,
-        side_tables=_drop_column_side_tables, features=_collapsed_rows,
-        predict=_predict_drop_column,
+        _forward_drop_column, _inverse_drop_column, features=_collapsed_rows,
         demo=(Schema.of(_rel("R", "a1", "a2", "a3")),
               {"relation": "R", "column": "a3"}),
         params={"relation": NAME, "column": NAME}),
     "MERGE_COLUMN": Operator(
         ("III",), ("SPLIT_COLUMN",), "replace two columns by a function of both",
-        _forward_merge_column, _inverse_merge_column,
-        side_tables=_merge_column_side_tables,
-        inverse_function_ready=_merge_column_inverse_ready,
-        features=_collapsed_rows, predict=_predict_merge_column,
+        _forward_merge_column, _inverse_merge_column, features=_collapsed_rows,
         demo=(Schema.of(_rel("R", "name", "mod1", "mod2")),
               {"relation": "R", "columns": ["mod1", "mod2"],
                "target_column": "sum", "function": "dec_add", "target": "T"}),
@@ -1306,7 +1204,6 @@ OPERATORS: dict[str, Operator] = {
         ("II", "III"), ("MOVE_COLUMN",),
         "like COPY_COLUMN, but the partner table loses the column",
         _forward_move_column, _inverse_move_column,
-        side_tables=_move_column_side_tables, predict=_predict_move_column,
         demo=(_PAIR, _PARTNER_JOIN),
         params=_PARTNER_PARAMS, optional={"as": "column"}),
     "RENAME_COLUMN": Operator(
@@ -1317,9 +1214,7 @@ OPERATORS: dict[str, Operator] = {
         params={"relation": NAME, "column": NAME, "to": NAME}),
     "SPLIT_COLUMN": Operator(
         ("III",), ("MERGE_COLUMN",), "replace one column by two functions of it",
-        _forward_split_column, _inverse_split_column,
-        inverse_function_ready=_split_column_inverse_ready,
-        features=_collapsed_rows, predict=_predict_split_column,
+        _forward_split_column, _inverse_split_column, features=_collapsed_rows,
         demo=(Schema.of(_rel("R", "name", "code")),
               {"relation": "R", "column": "code",
                "target_columns": ["head", "tail"],

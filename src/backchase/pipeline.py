@@ -34,7 +34,6 @@ from .catalog import (
     compile_inverse,
     instance_features,
     inverse_function_ready,
-    predicted_inverse_type,
     side_table_specs,
 )
 from .chase import (
@@ -163,7 +162,7 @@ def _run_lookups(
     variables, so each fact binds them in order."""
     extra: dict[str, list[Fact]] = {}
     for rule in plan.lookups:
-        table = step.side_tables[rule.table]
+        table = step.side_tables[rule.spec.name]
         refs = {row.ref: row for row in table.rows}
         positions = [(var, table.attributes.index(attr))
                      for var, attr in rule.bindings.items()]
@@ -265,8 +264,8 @@ def _run_appends(
 ) -> dict[str, list[Fact]]:
     extra: dict[str, list[Fact]] = {}
     for append in plan.appends:
-        table = step.side_tables[append.table]
-        rel = target_schema.relation(append.relation)
+        table = step.side_tables[append.spec.name]
+        rel = target_schema.relation(append.spec.relation)
         positions = [table.attributes.index(attr) if attr in table.attributes
                      else None for attr in rel.attributes]
         for row in table.rows:
@@ -373,7 +372,7 @@ def backchase(
     inversions: list[StepInversion] = []
     for step in reversed(run.steps):
         side_avail = run.side_tables_enabled and bool(step.side_tables)
-        invfn = inverse_function_ready(step.smo, functions)
+        invfn = inverse_function_ready(step.smo, step.source.schema, functions)
         plan = compile_inverse(
             step.smo,
             step.source.schema,
@@ -385,10 +384,8 @@ def backchase(
         classification = classify_report(step.source, reconstructed,
                                          step.mapping, functions)
         achieved = InverseType.NONE if plan.flagged_non_invertible else classification.type
-        features = instance_features(step.smo, step.source, functions)
-        predicted = predicted_inverse_type(
-            step.smo, run.provenance_mode, side_avail, invfn, features,
-        )
+        predicted = plan.predicted(
+            instance_features(step.smo, step.source, functions))
         inversions.append(StepInversion(step.index, step.smo, plan,
                                         reconstructed, classification,
                                         achieved, predicted))

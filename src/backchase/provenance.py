@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from operator import attrgetter, le
 from typing import Iterable, Iterator
 
-from .errors import ProvenanceError, ValidationError
+from .errors import ValidationError
 from .model import Instance, TupleId, Value, value_from_json, value_to_json
 
 Monomial = tuple[TupleId, ...]  # sorted id multiset
@@ -212,20 +212,6 @@ class ProvenanceStore:
         if self.mode != "where":
             return None
         return self.annotations.get(tid)
-
-    def duplicate_count(self, tid: TupleId) -> int:
-        """How many source derivations the fact folds together (1 if no
-        annotation is held)."""
-        ann = self.annotations.get(tid)
-        if ann is None:
-            return 1
-        if self.mode == "how":
-            return max(1, ann.eval_all_ones())
-        if self.mode == "why":
-            return max(1, len(ann))
-        raise ProvenanceError(
-            f"{self.mode}-provenance cannot count merged derivations"
-        )
 
 
 def store_to_json(store: ProvenanceStore) -> dict:

@@ -201,6 +201,11 @@ def load_run(run_dir: Path) -> EvolutionRun:
         )
     check_mode(mode)
     side_tables = bool(manifest.get("side_tables_enabled"))
+    if side_tables and mode == "none":
+        raise ValidationError(
+            f"{path} records side tables with provenance none; side tables "
+            f"only exist in association with provenance"
+        )
     script = script_from_json(script_obj)
     if len(step_dirs) != len(script):
         raise ValidationError(

@@ -20,11 +20,10 @@ from backchase import (
     const,
     instance_features,
     instances_equal,
-    predicted_inverse_type,
     script_from_json,
     script_to_json,
 )
-from backchase.analysis import at_least
+from backchase.analysis import at_least, classify_report
 from backchase.catalog import (
     ALL_KINDS,
     OPERATORS,
@@ -33,8 +32,8 @@ from backchase.catalog import (
     side_table_specs,
 )
 from backchase.functions import default_registry
-from backchase.model import relation_tag
-from backchase.pipeline import backchase, evolve
+from backchase.model import relation_tag, seed_allocators
+from backchase.pipeline import backchase, evolve, execute_plan
 from backchase.tgds import format_tgd
 from support import (
     COPY_COL_PARAMS,
@@ -255,20 +254,41 @@ def test_script_json_bit_exact_example():
 
 
 def test_predicted_type_examples():
+    schema = Schema.of(RelationSchema("R", ("x", "y", "z")),
+                       RelationSchema("V", ("x", "w")))
     join = SmoSpec("JOIN_TABLE", {"left": "R", "right": "V", "left_column": "x",
                                   "right_column": "x", "target": "T"})
-    assert predicted_inverse_type(
-        join, "none", False, False, InstanceFeatures(has_dangling=True)
-    ) == InverseType.RELAXED
+    assert compile_inverse(join, schema, "none", False, False).predicted(
+        InstanceFeatures(has_dangling=True)) == InverseType.RELAXED
     merge_col = SmoSpec("MERGE_COLUMN", {"relation": "R", "columns": ["y", "z"],
                                          "target_column": "s",
                                          "function": "dec_add"})
-    assert predicted_inverse_type(
-        merge_col, "how", True, True, InstanceFeatures(has_duplicates=True)
-    ) == InverseType.EXACT
+    assert compile_inverse(merge_col, schema, "how", True, True).predicted(
+        InstanceFeatures(has_duplicates=True)) == InverseType.EXACT
     rename = SmoSpec("RENAME_TABLE", {"table": "R", "to": "S"})
-    assert predicted_inverse_type(rename, "none", False, False,
-                                  InstanceFeatures()) == InverseType.EXACT
+    assert compile_inverse(rename, schema, "none", False, False).predicted(
+        InstanceFeatures()) == InverseType.EXACT
+
+
+def test_split_column_without_recombine_predicts_its_projection():
+    """An inverse function alone does not make a SPLIT_COLUMN exact: with no
+    recombine function its inverse is the projection, which keeps tuples."""
+    schema = Schema.of(RelationSchema("R", ("name", "code")))
+    smo = SmoSpec("SPLIT_COLUMN", {"relation": "R", "column": "code",
+                                   "target_columns": ["head", "tail"],
+                                   "functions": ["split_pipe_head",
+                                                 "split_pipe_tail"]})
+    instance = inst(schema, R=[("a", "x|y"), ("b", "u|v")])
+    plan = compile_inverse(smo, schema, "none", False, True)
+    assert [format_tgd(t) for t in plan.mapping.sigma] == [
+        "R(a,b,c) -> EXISTS D: R(a,D)"]
+    reg = default_registry()
+    (step,) = evolve(instance, [smo], "none").steps
+    reconstructed = execute_plan(plan, step, step.target, reg,
+                                 *seed_allocators(step.source, step.target))
+    achieved = classify_report(step.source, reconstructed, step.mapping, reg).type
+    assert achieved == InverseType.TP_RELAXED
+    assert at_least(achieved, plan.predicted(instance_features(smo, instance, reg)))
 
 
 def test_side_table_specs_cover_requirements():
@@ -289,14 +309,16 @@ def test_inverse_function_ready():
     reg = default_registry()
     mc = SmoSpec("MERGE_COLUMN", {"relation": "R", "columns": ["y", "z"],
                                   "target_column": "s", "function": "dec_add"})
-    assert inverse_function_ready(mc, reg)
+    assert inverse_function_ready(mc, Schema.of(RelationSchema("R", ("x", "y", "z"))),
+                                  reg)
+    schema = Schema.of(RelationSchema("R", ("x", "c")))
     sc = SmoSpec("SPLIT_COLUMN", {"relation": "R", "column": "c",
                                   "target_columns": ["h", "t"],
                                   "functions": ["split_pipe_head",
                                                 "split_pipe_tail"]})
-    assert not inverse_function_ready(sc, reg)
+    assert not inverse_function_ready(sc, schema, reg)
     sc2 = SmoSpec("SPLIT_COLUMN", {**sc.params, "recombine": "concat_pipe"})
-    assert inverse_function_ready(sc2, reg)
+    assert inverse_function_ready(sc2, schema, reg)
 
 
 def test_catalog_entries_render():
@@ -461,5 +483,5 @@ def test_features_nothing_predicts_from_are_not_computed(kind):
     assert instance_features(smo, instance) == InstanceFeatures()
     for features in (InstanceFeatures(), InstanceFeatures(True, True)):
         for mode, side in RESOURCE_CONFIGS:
-            assert predicted_inverse_type(smo, mode, side, False, features) == (
-                predicted_inverse_type(smo, mode, side, False))
+            plan = compile_inverse(smo, schema, mode, side, False)
+            assert plan.predicted(features) == plan.predicted()

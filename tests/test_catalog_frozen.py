@@ -35,7 +35,6 @@ from backchase import (
     compile_forward,
     compile_inverse,
     instance_features,
-    predicted_inverse_type,
 )
 from backchase.catalog import (
     ALL_KINDS,
@@ -97,11 +96,11 @@ def _side_specs_json(specs) -> list:
 def _plan_json(plan) -> dict:
     return {
         "sigma": [format_tgd(t) for t in plan.mapping.sigma],
-        "lookups": [[format_tgd(r.tgd), r.table, sorted(r.bindings.items())]
+        "lookups": [[format_tgd(r.tgd), r.spec.name, sorted(r.bindings.items())]
                     for r in plan.lookups],
         "restrict": (None if plan.restrict is None else
                      [plan.restrict.kind, list(plan.restrict.relations)]),
-        "appends": [[a.table, a.relation] for a in plan.appends],
+        "appends": [[a.spec.name, a.spec.relation] for a in plan.appends],
         "post_steps": list(plan.post_steps()),
         "required_provenance": plan.required_provenance,
         "required_side_tables": _side_specs_json(plan.required_side_tables),
@@ -116,7 +115,8 @@ def derive(spec: dict) -> dict:
     schema = _schema_from_json(spec["schema"])
     smo = SmoSpec(spec["kind"], spec["params"], spec["variant"])
     forward = compile_forward(smo, schema)
-    plans, predicted = {}, {}
+    has_features = OPERATORS[smo.kind].features is not None
+    plans, predicted, reads_features = {}, {}, False
     for level, side in RESOURCE_CONFIGS:
         for invfn in (False, True):
             key = f"{level}/{int(side)}/{int(invfn)}"
@@ -126,11 +126,14 @@ def derive(spec: dict) -> dict:
                 (atom,) = rule.tgd.body
                 assert all(isinstance(t, Variable) for t in atom.terms)
                 assert len(set(atom.terms)) == len(atom.terms)
+            # a guarantee reads only features its operator computes
+            if plan.if_dangling or plan.if_duplicates:
+                assert has_features, key
+                reads_features = True
             plans[key] = _plan_json(plan)
-            predicted[key] = {
-                name: predicted_inverse_type(smo, level, side, invfn, feats).value
-                for name, feats in FEATURES.items()
-            }
+            predicted[key] = {name: plan.predicted(feats).value
+                              for name, feats in FEATURES.items()}
+    assert reads_features == has_features  # and some plan reads what it computes
     derived = {
         **spec,
         "forward": [format_tgd(t) for t in forward.sigma],
@@ -224,7 +227,8 @@ def test_builders_read_only_declared_parameters(monkeypatch):
         spec = _stored_spec(entry)
         derive(spec)
         smo = SmoSpec(spec["kind"], spec["params"], spec["variant"])
-        inverse_function_ready(smo, default_registry())
+        inverse_function_ready(smo, _schema_from_json(spec["schema"]),
+                               default_registry())
         instance_features(smo, Instance(_schema_from_json(spec["schema"]), {}))
     declared = {(kind, key) for kind, op in OPERATORS.items() for key in op.params}
     assert read == declared  # nothing undeclared is read, nothing declared unused

@@ -166,7 +166,7 @@ def test_directory_as_input_exits_2(tmp_path, fixtures_dir, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("variant", ["x", None, [2]])
+@pytest.mark.parametrize("variant", ["x", None, [2], 1.9, True, "2"])
 def test_malformed_variant_exits_2(tmp_path, fixtures_dir, capsys, variant):
     script = tmp_path / "script.json"
     script.write_text(json.dumps({"steps": [{"kind": "NOP", "variant": variant}]}))
@@ -354,28 +354,34 @@ def _join_tables(tables):
     return json.loads((FIXTURES / "join_dangling_side_tables.json").read_text())
 
 
-@pytest.mark.parametrize("flags, change, fragment", [
-    (["--side-tables"], _no_tables,
+@pytest.mark.parametrize("flags, change, manifest, fragment", [
+    (["--provenance", "how", "--side-tables"], _no_tables, {},
      "holds side tables []; with side tables on, JOIN_TABLE keeps "
      "['R_dangling', 'V_dangling']"),
-    (["--side-tables"], _left_table_only,
+    (["--provenance", "how", "--side-tables"], _left_table_only, {},
      "holds side tables ['R_dangling']; with side tables on"),
-    (["--side-tables"], _extra_table,
+    (["--provenance", "how", "--side-tables"], _extra_table, {},
      "holds side tables ['R_dangling', 'V_dangling', 'W_dangling']"),
-    ([], _join_tables, "with side tables off, JOIN_TABLE keeps []"),
-], ids=["emptied", "one-dropped", "unknown-extra", "tables-when-off"])
+    (["--provenance", "how"], _join_tables, {},
+     "with side tables off, JOIN_TABLE keeps []"),
+    (["--provenance", "none"], _join_tables, {"side_tables_enabled": True},
+     "records side tables with provenance none"),
+], ids=["emptied", "one-dropped", "unknown-extra", "tables-when-off",
+        "tables-without-provenance"])
 def test_side_tables_not_the_operators_exit_2(tmp_path, fixtures_dir, capsys,
-                                              flags, change, fragment):
+                                              flags, change, manifest, fragment):
     # a missing table would otherwise be skipped and its rows silently lost
     run = tmp_path / "run"
     assert run_cli("evolve",
                    "--in", str(fixtures_dir / "join_dangling_source.json"),
                    "--script", str(fixtures_dir / "join_dangling_script.json"),
-                   "--provenance", "how", *flags, "--out", str(run)) == 0
+                   *flags, "--out", str(run)) == 0
     path = run / "step_00" / "side_tables.json"
     path.write_text(json.dumps(change(json.loads(path.read_text()))))
-    assert_rejected(run, tmp_path, capsys, str(Path("step_00") / "side_tables.json"),
-                    fragment)
+    (run / "run.json").write_text(json.dumps(
+        {**json.loads((run / "run.json").read_text()), **manifest}))
+    where = "run.json" if manifest else str(Path("step_00") / "side_tables.json")
+    assert_rejected(run, tmp_path, capsys, where, fragment)
 
 
 @pytest.mark.parametrize("store, fragment", [

@@ -3,7 +3,6 @@ from hypothesis import given, settings, strategies as st
 
 from backchase import (
     Polynomial,
-    ProvenanceError,
     SideTableSpec,
     TupleId,
     ValidationError,
@@ -160,15 +159,6 @@ def test_empty_source_side_table(merge_column_case):
     table = build_side_table(empty, SideTableSpec("R_mod2", "R", "projection",
                                                   ("mod2",)))
     assert table.rows == ()
-
-
-def test_duplicate_count():
-    store = ProvenanceStore("how", {TupleId("t", 1): parse_polynomial("r1 + r3")})
-    assert store.duplicate_count(TupleId("t", 1)) == 2
-    assert store.duplicate_count(TupleId("t", 9)) == 1
-    where = ProvenanceStore("where", {TupleId("t", 1): frozenset({"R"})})
-    with pytest.raises(ProvenanceError):
-        where.duplicate_count(TupleId("t", 1))
 
 
 tuple_ids = st.builds(TupleId, st.sampled_from(["r", "s", "t"]), st.integers(1, 4))
