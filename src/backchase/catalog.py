@@ -724,8 +724,20 @@ class InversePlan:
 
 
 def side_table_specs(smo: SmoSpec, source: Schema) -> tuple[SideTableSpec, ...]:
-    """Side tables the operator needs for its strongest inverse."""
-    return compile_inverse(smo, source, "how", True, True).required_side_tables
+    """Side tables the operator needs for its strongest inverse.  Tables
+    are kept by name, so two different tables may not share one."""
+    specs = compile_inverse(smo, source, "how", True, True).required_side_tables
+    by_name: dict[str, SideTableSpec] = {}
+    for spec in specs:
+        other = by_name.setdefault(spec.name, spec)
+        if other is not spec:
+            raise ValidationError(
+                f"two side tables of {smo.kind} share the name {spec.name!r}: "
+                f"the {other.kind} table of {other.relation}"
+                f"{list(other.attributes)} and the {spec.kind} table of "
+                f"{spec.relation}{list(spec.attributes)}; rename a relation "
+                f"or column")
+    return specs
 
 
 def inverse_function_ready(smo: SmoSpec, source: Schema,

@@ -9,6 +9,9 @@ Constants come in three kinds derived from their lexical form: ``integer``
 fraction digit, trailing zeros stripped) and ``text`` (everything else).
 Decimals are kept as exact scaled integers internally, never floats, so
 arithmetic such as ``1.7 + 3.3 = 5.0`` is bit-stable.
+
+Constants, nulls and tuple ids are immutable tuples of their fields, and
+``const`` shares one object among equal constants it built recently.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from json.encoder import encode_basestring
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import SchemaMismatch, ValidationError
@@ -36,30 +40,45 @@ _NUMBER_START = frozenset("+-0123456789")  # first characters of _INT_RE / _DEC_
 # ---------------------------------------------------------------------------
 # values
 #
-# The value classes hash from their fields directly instead of through the
-# tuple the generated ``__hash__`` builds per call; equality stays the
-# generated one.  The hash is not stored: a slot for it costs more memory
-# than the recomputation costs time.
+# Constants, nulls and tuple ids are ``tuple`` subclasses holding exactly
+# their fields, so hashing, equality and construction run in C, and each
+# field reads through an ``itemgetter`` property.  Values of different
+# classes never compare equal: a constant holds two strings, a null one
+# integer and a tuple id a string and an integer.  A value does equal the
+# plain tuple of its fields, so no collection may mix the two.
+# ``__getnewargs__`` hands the fields back to ``__new__`` for ``copy`` and
+# ``pickle``.  Sort keys stay plain tuples of ``str`` and ``int``: CPython
+# compares exact tuples faster than subclasses.
 
 
-@dataclass(frozen=True, slots=True)
-class Constant:
-    lexical: str
-    kind: str  # derived from ``lexical``, so the hash may leave it out
+class Constant(tuple):
+    """``(lexical, kind)``; the kind is derived from the lexical form."""
 
-    def __hash__(self) -> int:
-        return hash(self.lexical)
+    __slots__ = ()
+    lexical = property(itemgetter(0))
+    kind = property(itemgetter(1))
+
+    def __new__(cls, lexical: str, kind: str) -> "Constant":
+        return tuple.__new__(cls, (lexical, kind))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
     def __repr__(self) -> str:
         return f"Constant({self.lexical!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class Null:
-    label: int
+class Null(tuple):
+    """``(label,)``."""
 
-    def __hash__(self) -> int:
-        return hash(self.label)
+    __slots__ = ()
+    label = property(itemgetter(0))
+
+    def __new__(cls, label: int) -> "Null":
+        return tuple.__new__(cls, (label,))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
     def __repr__(self) -> str:
         return f"Null({self.label})"
@@ -79,11 +98,22 @@ def _canon_decimal(lexical: str) -> str:
     return ("-" if negative else "") + whole + "." + frac
 
 
+_SHARED_CONSTANTS = 1 << 12  # lexical forms whose constant ``const`` keeps
+
+
 def const(lexical: str) -> Constant:
     """Build a constant, deriving its kind from the lexical form and
-    canonicalizing (leading zeros, signs, trailing decimal zeros)."""
+    canonicalizing (leading zeros, signs, trailing decimal zeros).  Equal
+    lexical forms share one object while they stay among the most recently
+    used ``_SHARED_CONSTANTS``, so an instance holds each repeated cell
+    value once."""
     if not isinstance(lexical, str):
         raise ValidationError(f"constant lexical must be a string, got {lexical!r}")
+    return _shared_const(lexical)
+
+
+@lru_cache(maxsize=_SHARED_CONSTANTS)
+def _shared_const(lexical: str) -> Constant:
     if not lexical or lexical[0] not in _NUMBER_START:
         return Constant(lexical, TEXT)
     if _INT_RE.match(lexical):
@@ -145,13 +175,18 @@ def constant_order_key(value: Constant) -> tuple:
 # tuple identifiers
 
 
-@dataclass(frozen=True, slots=True)
-class TupleId:
-    tag: str
-    ordinal: int
+class TupleId(tuple):
+    """``(tag, ordinal)``, written ``<tag><ordinal>``."""
 
-    def __hash__(self) -> int:
-        return hash(self.tag) + self.ordinal
+    __slots__ = ()
+    tag = property(itemgetter(0))
+    ordinal = property(itemgetter(1))
+
+    def __new__(cls, tag: str, ordinal: int) -> "TupleId":
+        return tuple.__new__(cls, (tag, ordinal))
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
 
     def __str__(self) -> str:
         return f"{self.tag}{self.ordinal}"
@@ -176,6 +211,9 @@ class TupleId:
         raise ValidationError(f"malformed tuple id {text!r}; expected <tag><ordinal>")
 
 
+_new_tuple = tuple.__new__  # builds a value from its fields, skipping ``__new__``
+
+
 class NullAllocator:
     """Hands out strictly increasing null labels for one pipeline run."""
 
@@ -184,7 +222,7 @@ class NullAllocator:
 
     def fresh(self) -> Null:
         self._last += 1
-        return Null(self._last)
+        return _new_tuple(Null, (self._last,))
 
     @property
     def last(self) -> int:
@@ -204,7 +242,7 @@ class IdAllocator:
     def fresh(self, tag: str) -> TupleId:
         nxt = self._last.get(tag, 0) + 1
         self._last[tag] = nxt
-        return TupleId(tag, nxt)
+        return _new_tuple(TupleId, (tag, nxt))
 
 
 def relation_tag(name: str) -> str:

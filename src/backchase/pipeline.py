@@ -108,15 +108,15 @@ def evolve(
     for i, smo in enumerate(script):
         try:
             forward = compile_forward(smo, current.schema)
+            specs = side_table_specs(smo, current.schema) if build_side_tables else ()
         except ValidationError as exc:
             raise ValidationError(f"step {i} ({smo.kind}): {exc}") from exc
         side_tables: dict[str, SideTable] = {}
-        if build_side_tables:
-            matched = None
-            for spec in side_table_specs(smo, current.schema):
-                if spec.kind == "dangling" and matched is None:
-                    matched = matched_source_ids(current, forward)
-                side_tables[spec.name] = build_side_table(current, spec, matched)
+        matched = None
+        for spec in specs:
+            if spec.kind == "dangling" and matched is None:
+                matched = matched_source_ids(current, forward)
+            side_tables[spec.name] = build_side_table(current, spec, matched)
         target, store = chase(current, forward, provenance_mode, functions,
                               nulls, ids)
         steps.append(EvolutionStep(i, smo, forward, current, target, store,

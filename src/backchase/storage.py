@@ -200,7 +200,12 @@ def load_run(run_dir: Path) -> EvolutionRun:
             f"'dir' must be strings"
         )
     check_mode(mode)
-    side_tables = bool(manifest.get("side_tables_enabled"))
+    side_tables = manifest.get("side_tables_enabled", False)
+    if not isinstance(side_tables, bool):
+        raise ValidationError(
+            f"{path}: 'side_tables_enabled' must be true or false, got "
+            f"{json.dumps(side_tables)}"
+        )
     if side_tables and mode == "none":
         raise ValidationError(
             f"{path} records side tables with provenance none; side tables "
@@ -240,10 +245,14 @@ def load_run(run_dir: Path) -> EvolutionRun:
         tables_obj = read_json(tables_path)
         if not isinstance(tables_obj, list):
             raise ValidationError(f"{tables_path} must hold a list of side tables")
-        specs = {spec.name: spec for spec in side_table_specs(smo, source.schema)}
+        try:
+            specs = ({spec.name: spec for spec in side_table_specs(smo, source.schema)}
+                     if side_tables else {})
+        except ValidationError as exc:
+            raise ValidationError(f"{tables_path}: {exc}") from None
         tables = [side_table_from_json(obj) for obj in tables_obj]
         names = sorted(table.name for table in tables)
-        expected = sorted(specs) if side_tables else []
+        expected = sorted(specs)
         if names != expected:
             raise ValidationError(
                 f"{tables_path} holds side tables {names}; with side tables "

@@ -384,6 +384,78 @@ def test_side_tables_not_the_operators_exit_2(tmp_path, fixtures_dir, capsys,
     assert_rejected(run, tmp_path, capsys, where, fragment)
 
 
+@pytest.mark.parametrize("enabled", ["false", "true", 0, 1, None, []])
+def test_side_tables_enabled_not_a_boolean_exits_2(tmp_path, fixtures_dir, capsys,
+                                                   enabled):
+    # bool("false") is True: a string would switch side tables on
+    run = tmp_path / "run"
+    assert run_cli("evolve",
+                   "--in", str(fixtures_dir / "join_dangling_source.json"),
+                   "--script", str(fixtures_dir / "join_dangling_script.json"),
+                   "--provenance", "how", "--out", str(run)) == 0
+    manifest = json.loads((run / "run.json").read_text())
+    (run / "run.json").write_text(json.dumps({**manifest, "side_tables_enabled": enabled}))
+    assert_rejected(run, tmp_path, capsys, "run.json",
+                    "'side_tables_enabled' must be true or false",
+                    f"got {json.dumps(enabled)}")
+
+
+def test_side_tables_enabled_missing_means_off(tmp_path, fixtures_dir, capsys):
+    run = tmp_path / "run"
+    assert run_cli("evolve",
+                   "--in", str(fixtures_dir / "join_dangling_source.json"),
+                   "--script", str(fixtures_dir / "join_dangling_script.json"),
+                   "--provenance", "how", "--out", str(run)) == 0
+    manifest = json.loads((run / "run.json").read_text())
+    del manifest["side_tables_enabled"]
+    (run / "run.json").write_text(json.dumps(manifest))
+    assert invert_exit(run, tmp_path) == 0
+
+
+COLLIDING_SOURCE = {"relations": [
+    {"name": "A_b", "attributes": ["id", "name"],
+     "tuples": [{"id": "a_b1", "values": [{"const": "1"}, {"const": "a"}]},
+                {"id": "a_b2", "values": [{"const": "2"}, {"const": "z"}]}]},
+    {"name": "A", "attributes": ["name", "b_dangling"],
+     "tuples": [{"id": "a1", "values": [{"const": "a"}, {"const": "x"}]}]},
+]}
+# the refill table of A's column b_dangling and the dangling rows of A_b
+# would both be named A_b_dangling
+COLLIDING_SCRIPT = {"steps": [
+    {"kind": "MOVE_COLUMN", "relation": "A_b", "source": "A",
+     "join": {"column": "name", "source_column": "name"}, "column": "b_dangling"}]}
+COLLISION = ("two side tables of MOVE_COLUMN share the name 'A_b_dangling'",
+             "dangling table of A_b['id', 'name']",
+             "projection table of A['b_dangling']")
+
+
+def evolve_colliding(tmp_path, *flags) -> int:
+    source, script = tmp_path / "source.json", tmp_path / "script.json"
+    source.write_text(json.dumps(COLLIDING_SOURCE))
+    script.write_text(json.dumps(COLLIDING_SCRIPT))
+    return run_cli("evolve", "--in", str(source), "--script", str(script),
+                   "--provenance", "how", *flags, "--out", str(tmp_path / "run"))
+
+
+def test_colliding_side_table_names_exit_2_from_evolve(tmp_path, capsys):
+    # one table would overwrite the other, and the step would land relaxed
+    # against a predicted exact
+    assert evolve_colliding(tmp_path, "--side-tables") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: step 0 (MOVE_COLUMN)") and "Traceback" not in err
+    for fragment in COLLISION:
+        assert fragment in err
+
+
+def test_colliding_side_table_names_exit_2_from_invert(tmp_path, capsys):
+    assert evolve_colliding(tmp_path) == 0
+    run = tmp_path / "run"
+    manifest = json.loads((run / "run.json").read_text())
+    (run / "run.json").write_text(json.dumps({**manifest, "side_tables_enabled": True}))
+    assert_rejected(run, tmp_path, capsys,
+                    str(Path("step_00") / "side_tables.json"), *COLLISION)
+
+
 @pytest.mark.parametrize("store, fragment", [
     ([], "must be an object"),
     ({"mode": "how", "annotations": []}, "'annotations' must be an object"),

@@ -311,10 +311,13 @@ def test_long_decimal_constant_rejected():
     (const("a"), "lexical"), (null(1), "label"), (TupleId("r", 1), "ordinal"),
     (Fact(TupleId("r", 1), (const("a"),)), "values")])
 def test_value_classes_stay_frozen(value, field):
+    # values are tuples whose fields have no setter, and a fact is a frozen
+    # dataclass; FrozenInstanceError subclasses AttributeError
     assert not hasattr(value, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    is_fact = isinstance(value, Fact)
+    with pytest.raises(dataclasses.FrozenInstanceError if is_fact else AttributeError):
         setattr(value, field, getattr(value, field))
-    copy = dataclasses.replace(value)
+    copy = dataclasses.replace(value) if is_fact else type(value)(*value)
     assert copy == value and hash(copy) == hash(value)
 
 

@@ -1,14 +1,15 @@
 """The value layer against plain value-by-value versions of it.
 
-``model`` hashes values from their fields, sorts facts with list keys, and
-tests for nulls, multisets, id ranges and instance validity over whole
-relations at a time.  Each property here compares one of these with the
+``model`` keeps values as tuples of their fields, shares equal constants,
+sorts facts with list keys, and tests for nulls, multisets, id ranges and
+instance validity over whole relations at a time.  Each property here compares one of these with the
 straightforward form in ``tests/support.py`` or written out below, over
 mixed constants, nulls and tuple ids of several tags."""
 
 from __future__ import annotations
 
-import dataclasses
+import copy
+import pickle
 from collections import Counter
 from itertools import combinations
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from backchase import (
+    Constant,
     Fact,
     Instance,
     Null,
@@ -80,7 +82,7 @@ def test_equal_values_hash_equal(items):
         if a == b:
             assert hash(a) == hash(b)
     for item in items:
-        copy = dataclasses.replace(item)
+        copy = type(item)(*item)
         assert copy == item and hash(copy) == hash(item)
         if isinstance(item, TupleId):
             rebuilt = TupleId.parse(str(item))
@@ -91,7 +93,58 @@ def test_equal_values_hash_equal(items):
         assert rebuilt == item and hash(rebuilt) == hash(item)
 
 
+def _pickled(value, protocol):
+    return pickle.loads(pickle.dumps(value, protocol))
+
+
+@pytest.mark.parametrize("value", [const("a"), const("-1.5"), null(2), TupleId("r_", 12)],
+                         ids=["text", "decimal", "null", "tuple-id"])
+@pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy] + [
+    lambda v, p=p: _pickled(v, p) for p in range(pickle.HIGHEST_PROTOCOL + 1)],
+    ids=["copy", "deepcopy"] + [f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)])
+def test_values_copy_and_pickle(value, duplicate):
+    # __new__ takes the fields, not one tuple of them, so copy and pickle
+    # must be handed the fields back
+    twin = duplicate(value)
+    assert type(twin) is type(value) and tuple(twin) == tuple(value)
+    assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(constants, nulls, tuple_ids)
+def test_values_of_different_classes_never_compare_equal(c, n, t):
+    for a, b in combinations((c, n, t), 2):
+        assert a != b and b != a and not a == b
+    assert len({c, n, t}) == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.text(max_size=6), st.integers(-99, 99).map(str),
+                 st.sampled_from(["1.50", "007", "-0.0"])))
+def test_const_shares_one_object_per_lexical(lexical):
+    assert const(lexical) is const(lexical)
+    assert type(const(lexical)) is Constant
+
+
+@pytest.mark.parametrize("lexical", [[1], 1, None, 1.5, b"a"])
+def test_const_of_a_non_string_raises(lexical):
+    with pytest.raises(ValidationError, match="constant lexical must be a string"):
+        const(lexical)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda n: facts_of(n, min_size=1, max_size=4)))
+def test_fact_sort_keys_hold_only_plain_tuples_strings_and_ints(facts):
+    # CPython compares exact tuples faster than tuple subclasses
+    def plain(part):
+        if type(part) in (tuple, list):
+            return all(map(plain, part))
+        return type(part) in (str, int)
+    assert all(plain(fact_sort_key(f)) for f in facts)
+
+
 def test_equal_lexicals_after_canonicalizing_hash_equal():
+    # equal, though ``const`` shares objects by lexical form, not by value
     for a, b in [("007", "7"), ("01.50", "1.5"), ("-0.0", "0.0"), ("+3", "3")]:
         assert const(a) == const(b) and hash(const(a)) == hash(const(b))
     assert const("5") != const("5.0")
