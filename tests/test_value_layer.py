@@ -2,9 +2,10 @@
 
 ``model`` keeps values as tuples of their fields, shares equal constants,
 sorts facts with list keys, and tests for nulls, multisets, id ranges and
-instance validity over whole relations at a time.  Each property here compares one of these with the
-straightforward form in ``tests/support.py`` or written out below, over
-mixed constants, nulls and tuple ids of several tags."""
+instance validity over whole relations at a time.  Each property here
+compares one of these with the straightforward form in ``tests/support.py``
+or written out below, over mixed constants, nulls and tuple ids of several
+tags."""
 
 from __future__ import annotations
 
@@ -82,8 +83,8 @@ def test_equal_values_hash_equal(items):
         if a == b:
             assert hash(a) == hash(b)
     for item in items:
-        copy = type(item)(*item)
-        assert copy == item and hash(copy) == hash(item)
+        twin = type(item)(*item)
+        assert twin == item and hash(twin) == hash(item)
         if isinstance(item, TupleId):
             rebuilt = TupleId.parse(str(item))
         elif isinstance(item, Null):
