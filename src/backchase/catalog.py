@@ -5,19 +5,25 @@ Sixteen operators (fifteen plus NOP), one ``Operator`` record each in
 operator: its class, inverse operator names and description, its parameters
 with their shapes and the defaults of the optional ones (``SmoSpec`` checks
 every spec against them once), the builder of its forward source-to-target
-dependencies, the builder of its inverse plan per available resource level,
-and the instance features its plans' guarantees read.
+dependencies, for half of the operators the builder of what its inverse
+plan adds per available resource level, and the instance features its
+plans' guarantees read.
 
-Builders return only the operator's own dependencies.  ``compile_forward``
-carries every relation the operator leaves alone by an identity dependency,
-so multi-step scripts chain, and ``compile_inverse`` ends the inverse with
-the same identity dependencies.  An inverse builder states what its plan
-does (dependencies and post-steps) and the inverse type it guarantees, a
-lower bound on what the classifier will report, never what it needs: the
-provenance level, side tables and inverse function an ``InversePlan``
-requires are derived from what it does.  An operator's side tables, and
-whether a function registry carries its inverse functions, are those of its
-strongest plan.
+Forward builders return only the operator's own dependencies.
+``compile_forward`` carries every relation the operator leaves alone by an
+identity dependency, so multi-step scripts chain.  An inverse plan's
+dependencies are the forward mapping read backwards, identity dependencies
+included: what the forward step projected away or computed becomes
+existential and the parts of a decomposition are joined back, the
+quasi-inverse of a mapping of full source-to-target dependencies (Fagin,
+Kolaitis, Popa and Tan, TODS 2008).  An inverse builder states only what
+reversal cannot say: post-steps, side-table lookups, ``SPLIT_COLUMN``'s
+recombine dependency, and the inverse type the plan guarantees, a lower
+bound on what the classifier will report.  It never states what the plan
+needs: the provenance level, side tables and inverse function an
+``InversePlan`` requires are derived from what it does.  An operator's side
+tables, and whether a function registry carries its inverse functions, are
+those of its strongest plan.
 
 Operator classes:
 
@@ -42,6 +48,8 @@ least one join partner, which is a documented precondition of the operator
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import count
 from typing import Callable, Mapping, Sequence
 
 from .analysis import InverseType, weakest
@@ -255,19 +263,13 @@ _COMPLEMENT = {"=": ("<", ">"), "<": (">=",), "<=": (">",), ">": ("<=",), ">=": 
 def compile_forward(smo: SmoSpec, source: Schema) -> SchemaMapping:
     """Compile an operator to its forward schema mapping over ``source``.
 
-    Relations the operator leaves alone are carried by identity dependencies.
+    Relations the operator leaves alone are carried by identity dependencies
+    after the operator's own, in source order.
     """
-    return _forward(smo, source)[0]
-
-
-def _forward(smo: SmoSpec, source: Schema
-             ) -> tuple[SchemaMapping, tuple[StTgd, ...]]:
-    """The forward mapping and its tail: the identity dependencies of the
-    relations the operator leaves alone, in source order."""
     target, tgds, touched = OPERATORS[smo.kind].forward(smo, source)
     tail = tuple(_identity_tgd(rel) for rel in source.relations
                  if rel.name not in touched)
-    return SchemaMapping(source, target, tuple(tgds) + tail), tail
+    return SchemaMapping(source, target, tuple(tgds) + tail)
 
 
 def _forward_copy_table(smo: SmoSpec, source: Schema):
@@ -369,6 +371,8 @@ def _forward_join(smo: SmoSpec, source: Schema):
 def _forward_merge_table(smo: SmoSpec, source: Schema):
     left = source.relation(smo.param("left"))
     right = source.relation(smo.param("right"))
+    if left.name == right.name:
+        raise ValidationError("MERGE_TABLE needs two distinct tables")
     if left.attributes != right.attributes:
         raise ValidationError(
             "MERGE_TABLE needs tables with identical attribute lists"
@@ -762,16 +766,88 @@ def compile_inverse(
 
     Always returns a plan; configurations that cannot promise reconstruction
     come back flagged rather than failing.  The plan's dependencies are the
-    operator's own inverse dependencies followed by the forward mapping's
-    identity dependencies, which map every untouched relation back onto
-    itself.
+    forward mapping read backwards (``_reversed``), identity dependencies
+    included.  The operator's inverse builder, if it has one, adds what
+    reversal cannot say: post-steps, guarantee, side-table lookups and, under
+    ``tgds``, dependencies of its own, which come first.  A lookup or a
+    builder's dependency replaces the reversed dependency that rebuilds the
+    same relation.
     """
-    forward, tail = _forward(smo, source)
-    tgds, fields = OPERATORS[smo.kind].inverse(
-        smo, source, forward, provenance_level, side_tables_available,
-        inverse_function_available)
-    mapping = SchemaMapping(forward.target, source, tuple(tgds) + tail)
+    forward = compile_forward(smo, source)
+    mapping = _reversed(forward)
+    build = OPERATORS[smo.kind].inverse
+    fields = build(smo, source, forward, provenance_level, side_tables_available,
+                   inverse_function_available) if build else {}
+    supplied = fields.pop("tgds", ())
+    replaced = {a.relation for t in supplied + tuple(r.tgd for r in fields.get("lookups", ()))
+                for a in t.head}
+    if replaced:
+        mapping = SchemaMapping(mapping.source, mapping.target, supplied + tuple(
+            t for t in mapping.sigma if replaced.isdisjoint(a.relation for a in t.head)))
     return InversePlan(smo=smo, mapping=mapping, **fields)
+
+
+# Reversed forward mappings kept; each plan compile reverses one.
+_REVERSED_MAPPINGS = 1 << 10
+
+
+@lru_cache(maxsize=_REVERSED_MAPPINGS)
+def _reversed(forward: SchemaMapping) -> SchemaMapping:
+    """The forward mapping read backwards, from its target to its source.
+
+    Each dependency's head becomes a body, any term that is not a variable
+    replaced by a fresh one, and its body becomes the head (``_reverse``).
+    A relation that some dependency reads alone is rebuilt only by those
+    dependencies.  The reversals of one forward body are joined into one
+    dependency when one of them cannot rebuild the body alone.  Duplicates
+    are dropped.
+    """
+    alone = {t.body[0].relation for t in forward.sigma if len(t.body) == 1}
+    fresh = (Variable(f"?{i}") for i in count())
+    groups: dict[tuple[Atom, ...], tuple[tuple[Atom, ...], list]] = {}
+    for tgd in forward.sigma:
+        head = tuple(a for a in tgd.body if len(tgd.body) == 1 or a.relation not in alone)
+        body = tuple(Atom(a.relation, tuple(t if isinstance(t, Variable) else next(fresh)
+                                            for t in a.terms)) for a in tgd.head)
+        if head:
+            groups.setdefault(tgd.body, (head, []))[1].append((body, tgd.conditions))
+    sigma = []
+    for head, members in groups.values():
+        tgds = [_reverse(body, head, conditions) for body, conditions in members]
+        if any(t.existential_vars for t in tgds):
+            tgds = [_reverse(sum((body for body, _ in members), ()), head,
+                             sum((conditions for _, conditions in members), ()))]
+        sigma += tgds
+    return SchemaMapping(forward.target, forward.source, tuple(dict.fromkeys(sigma)))
+
+
+def _reverse(body: tuple[Atom, ...], head: tuple[Atom, ...],
+             conditions: tuple[Comparison, ...]) -> StTgd:
+    """The dependency ``body -> head``.  A head variable the body does not
+    bind takes the variable an ``=`` condition equates it to, if the body
+    binds that one; the other conditions are dropped, and the variables
+    still unbound are existential.  Variables are renamed in order of first
+    occurrence, ``a, b, ...`` in the body and ``D, E, ...`` in the head."""
+    bound = {t for a in body for t in a.terms}
+    equal = {y: x for c in conditions if c.op == "="
+             for x, y in ((c.left, c.right), (c.right, c.left))
+             if x in bound and isinstance(y, Variable) and y not in bound}
+    head = tuple(Atom(a.relation, tuple(equal.get(t, t) for t in a.terms)) for a in head)
+    old = list(dict.fromkeys(t for a in body for t in a.terms))
+    unbound = list(dict.fromkeys(t for a in head for t in a.terms if t not in bound))
+    names = dict(zip(old, map(Variable, variable_names(len(old)))))
+    names.update(zip(unbound, map(Variable, _existential_names(len(unbound)))))
+
+    def renamed(atoms):
+        return tuple(Atom(a.relation, tuple(names[t] for t in a.terms)) for a in atoms)
+
+    return StTgd(renamed(body), renamed(head),
+                 existential_vars=frozenset(names[v].name for v in unbound))
+
+
+def _existential_names(n: int) -> list[str]:
+    letters = "DEFGHIJKLMNOPQRSTUVWXYZABC"
+    return [letters[i % 26] + (str(i // 26) if i >= 26 else "") for i in range(n)]
 
 
 def _expanded(level: str) -> dict:
@@ -784,177 +860,81 @@ def _expanded(level: str) -> dict:
             "if_duplicates": InverseType.RELAXED}
 
 
-def _no_dependencies(smo, source, forward, level, side, invfn):
-    return [], {}
-
-
-def _inverse_copy_table(smo, source, forward, level, side, invfn):
-    rel = source.relation(smo.param("table"))
-    copy_name = smo.param("copy")
-    kept_name = smo.param("kept")
-    vars_ = tuple(Variable(v) for v in variable_names(rel.arity))
-    head = (Atom(rel.name, vars_),)
-    if smo.variant == 1:
-        return [StTgd((Atom(kept_name, vars_), Atom(copy_name, vars_)), head)], {}
-    return [StTgd((Atom(kept_name, vars_),), head),
-            StTgd((Atom(copy_name, vars_),), head)], {}
-
-
 def _inverse_decompose(smo, source, forward, level, side, invfn):
-    rel = source.relation(smo.param("table"))
-    p1, p2 = (RelationSchema(p["name"], tuple(p["attributes"]))
-              for p in smo.param("parts"))
-    varmap = _attr_vars(rel)
-    tgd = StTgd(
-        body=(Atom(p1.name, tuple(varmap[a] for a in p1.attributes)),
-              Atom(p2.name, tuple(varmap[a] for a in p2.attributes))),
-        head=(Atom(rel.name, tuple(varmap[a] for a in rel.attributes)),),
-    )
     if level in ("why", "how"):
-        return [tgd], {
-            "restrict": RestrictByOrigin("common_origin", (rel.name,)),
+        return {
+            "restrict": RestrictByOrigin("common_origin", (smo.param("table"),)),
             "notes": ("join restricted to part pairs sharing a source row",),
             "guarantee": InverseType.TP_RELAXED,
         }
-    return [tgd], {"if_duplicates": InverseType.RESULT_EQUIVALENT}
+    return {"if_duplicates": InverseType.RESULT_EQUIVALENT}
 
 
 def _inverse_drop_table(smo, source, forward, level, side, invfn):
     if side and level != "none":
         rel = source.relation(smo.param("table"))
         spec = SideTableSpec(f"{rel.name}_dropped", rel.name, "projection", ())
-        return [], {
+        return {
             "appends": (AppendSideRows(spec),),
             "notes": ("dropped rows return as all-null placeholders, "
                       "one per recorded id",),
             "guarantee": InverseType.TP_RELAXED,
         }
-    return [], {"guarantee": InverseType.RELAXED}
+    return {"guarantee": InverseType.RELAXED}
 
 
 def _inverse_join(smo, source, forward, level, side, invfn):
-    left = source.relation(smo.param("left"))
-    right = source.relation(smo.param("right"))
-    lcol, rcol = smo.param("left_column"), smo.param("right_column")
-    target_rel = forward.target.relation(smo.param("target"))
-    tv = tuple(Variable(v) for v in variable_names(target_rel.arity))
-    join_var = tv[left.position(lcol)]
-    rest_right = [a for a in right.attributes if a != rcol]
-    right_terms = tuple(
-        join_var if a == rcol else tv[left.arity + rest_right.index(a)]
-        for a in right.attributes
-    )
-    tgd = StTgd(
-        body=(Atom(target_rel.name, tv),),
-        head=(Atom(left.name, tv[: left.arity]), Atom(right.name, right_terms)),
-    )
     if side and level != "none":
-        return [tgd], {
+        left, right = (source.relation(smo.param(t)) for t in ("left", "right"))
+        return {
             "appends": (AppendSideRows(_dangling_rows(left)),
                         AppendSideRows(_dangling_rows(right))),
             "notes": ("dangling rows restored from side tables",),
         }
-    return [tgd], {"if_dangling": InverseType.RELAXED}
+    return {"if_dangling": InverseType.RELAXED}
 
 
 def _inverse_merge_table(smo, source, forward, level, side, invfn):
-    left, right = smo.param("left"), smo.param("right")
-    target_rel = forward.target.relation(smo.param("target"))
-    vars_ = tuple(Variable(v) for v in variable_names(target_rel.arity))
-    body = (Atom(target_rel.name, vars_),)
-    tgds = [StTgd(body, (Atom(left, vars_),)),
-            StTgd(body, (Atom(right, vars_),))]
     if level != "none":
-        return tgds, {
-            "restrict": RestrictByOrigin("per_relation", (left, right)),
+        return {
+            "restrict": RestrictByOrigin("per_relation",
+                                         (smo.param("left"), smo.param("right"))),
             "notes": ("rows kept only in the table their origins come from",),
         }
-    return tgds, {"guarantee": InverseType.RESULT_EQUIVALENT}
-
-
-def _inverse_partition(smo, source, forward, level, side, invfn):
-    rel = source.relation(smo.param("table"))
-    vars_ = tuple(Variable(v) for v in variable_names(rel.arity))
-    head = (Atom(rel.name, vars_),)
-    return [StTgd((Atom(t, vars_),), head) for t in smo.param("targets")], {}
-
-
-def _inverse_rename_table(smo, source, forward, level, side, invfn):
-    rel = source.relation(smo.param("table"))
-    return [_identity_tgd(forward.target.relation(smo.param("to")),
-                          target_name=rel.name)], {}
-
-
-def _existential_names(count: int) -> list[str]:
-    letters = "DEFGHIJKLMNOPQRSTUVWXYZABC"
-    out = []
-    for i in range(count):
-        suffix = i // 26
-        out.append(letters[i % 26] + (str(suffix) if suffix else ""))
-    return out
-
-
-def _projection_inverse(rel_out: RelationSchema, rel_in: RelationSchema,
-                        missing: Sequence[str]) -> StTgd:
-    """Reconstruct ``rel_in`` rows from ``rel_out`` rows, filling the
-    ``missing`` attributes with existential variables; every other attribute
-    of ``rel_in`` must exist in ``rel_out``."""
-    out_vars = _attr_vars(rel_out)
-    names = iter(_existential_names(len(missing)))
-    fills = {a: Variable(next(names)) for a in rel_in.attributes if a in missing}
-    head_terms = tuple(
-        fills[a] if a in missing else out_vars[a] for a in rel_in.attributes
-    )
-    body_terms = tuple(out_vars[a] for a in rel_out.attributes)
-    return StTgd(
-        body=(Atom(rel_out.name, body_terms),),
-        head=(Atom(rel_in.name, head_terms),),
-        existential_vars=frozenset(v.name for v in fills.values()),
-    )
+    return {"guarantee": InverseType.RESULT_EQUIVALENT}
 
 
 def _refill_rule(rel: RelationSchema, column: str) -> SideLookupRule:
     """Rebuild ``rel`` rows from rows lacking ``column``, whose value is read
     from the side table of its values."""
-    varmap = _attr_vars(rel)
-    head_terms = tuple(
-        Variable("C") if a == column else varmap[a] for a in rel.attributes
-    )
-    body_terms = tuple(varmap[a] for a in rel.attributes if a != column)
+    varmap = {**_attr_vars(rel), column: Variable("C")}
     return SideLookupRule(
-        StTgd(body=(Atom(rel.name, body_terms),),
-              head=(Atom(rel.name, head_terms),),
+        StTgd(body=(Atom(rel.name, tuple(varmap[a] for a in rel.attributes
+                                         if a != column)),),
+              head=(Atom(rel.name, tuple(varmap[a] for a in rel.attributes)),),
               existential_vars=frozenset({"C"})),
         spec=_column_values(rel, column),
         bindings={"C": column},
     )
 
 
-def _inverse_drop_added_column(smo, source, forward, level, side, invfn):
-    """ADD_COLUMN and COPY_COLUMN: project the widened relation back."""
-    rel = source.relation(smo.param("relation"))
-    return [_projection(forward.target.relation(rel.name), rel)], {}
-
-
 def _inverse_drop_column(smo, source, forward, level, side, invfn):
-    rel = source.relation(smo.param("relation"))
-    column = smo.param("column")
     if level in ("why", "how") and side:
-        return [], {
-            "lookups": (_refill_rule(rel, column),),
+        rel = source.relation(smo.param("relation"))
+        return {
+            "lookups": (_refill_rule(rel, smo.param("column")),),
             "expand_before": True,
             "notes": ("dropped values restored from the side table",),
         }
-    narrowed = forward.target.relation(rel.name)
-    return [_projection_inverse(narrowed, rel, [column])], _expanded(level)
+    return _expanded(level)
 
 
 def _inverse_merge_column(smo, source, forward, level, side, invfn):
     rel = source.relation(smo.param("relation"))
     c1, c2 = smo.param("columns")
     function = smo.param("function")
-    merged = forward.target.relation(smo.param("target"))
     if level in ("why", "how") and side and invfn:
+        merged = forward.target.relation(smo.param("target"))
         mv = _attr_vars(merged)
         inverse = FunctionTerm(function, (mv[smo.param("target_column")],
                                           Variable("C")), inverse=True)
@@ -970,7 +950,7 @@ def _inverse_merge_column(smo, source, forward, level, side, invfn):
             spec=_column_values(rel, c2),
             bindings={"C": c2},
         )
-        return [], {
+        return {
             "lookups": (lookup,),
             "expand_before": True,
             "notes": ("merged values recomputed with the inverse function and "
@@ -980,40 +960,33 @@ def _inverse_merge_column(smo, source, forward, level, side, invfn):
     if level in ("why", "how") and side:
         fields["notes"] = (f"downgraded: no inverse registered for {function!r}, "
                            f"merged values stay null",)
-    return [_projection_inverse(merged, rel, [c1, c2])], fields
+    return fields
 
 
 def _inverse_move_column(smo, source, forward, level, side, invfn):
-    receiver = source.relation(smo.param("relation"))
-    partner = source.relation(smo.param("source"))
-    moved = smo.param("column")
-    receiver_tgd = _projection(forward.target.relation(receiver.name), receiver)
     if side and level in ("why", "how"):
-        return [receiver_tgd], {
-            "lookups": (_refill_rule(partner, moved),),
+        return {
+            "lookups": (_refill_rule(source.relation(smo.param("source")),
+                                     smo.param("column")),),
             "expand_before": True,
-            "appends": (AppendSideRows(_dangling_rows(receiver)),),
+            "appends": (AppendSideRows(_dangling_rows(
+                source.relation(smo.param("relation")))),),
             "notes": ("moved values restored from the side table; dangling "
                       "receiver rows appended",),
         }
-    reduced = forward.target.relation(partner.name)
-    return [receiver_tgd, _projection_inverse(reduced, partner, [moved])], {
+    return {
         "flagged_non_invertible": level == "none" and not side,
         "notes": ("moved values cannot be recovered without side tables",),
         "guarantee": InverseType.NONE,
     }
 
 
-def _inverse_rename_column(smo, source, forward, level, side, invfn):
-    return [_identity_tgd(source.relation(smo.param("relation")))], {}
-
-
 def _inverse_split_column(smo, source, forward, level, side, invfn):
-    rel = source.relation(smo.param("relation"))
-    column = smo.param("column")
     recombine = smo.param("recombine")
-    split_rel = forward.target.relation(smo.param("target"))
     if invfn and recombine:
+        rel = source.relation(smo.param("relation"))
+        column = smo.param("column")
+        split_rel = forward.target.relation(smo.param("target"))
         sv = _attr_vars(split_rel)
         b, c = smo.param("target_columns")
         head_terms = tuple(
@@ -1025,8 +998,9 @@ def _inverse_split_column(smo, source, forward, level, side, invfn):
                        tuple(sv[a] for a in split_rel.attributes)),),
             head=(Atom(rel.name, head_terms),),
         )
-        return [tgd], {"notes": ("halves recombined with the registered function",)}
-    return [_projection_inverse(split_rel, rel, [column])], _expanded(level)
+        return {"tgds": (tgd,),
+                "notes": ("halves recombined with the registered function",)}
+    return _expanded(level)
 
 
 # ---------------------------------------------------------------------------
@@ -1095,12 +1069,15 @@ class Operator:
     """One schema-modification operator.
 
     ``forward(smo, source)`` returns the target schema, the operator's own
-    dependencies and the names of the source relations it touches.
-    ``inverse(smo, source, forward, level, side, invfn)`` returns the
-    operator's own inverse dependencies and the other ``InversePlan`` fields,
-    the plan's guarantee among them, for a provenance level, side-table and
-    inverse-function availability.  ``features`` computes the
-    ``InstanceFeatures`` that those guarantees read.
+    dependencies and the names of the source relations it touches; the
+    inverse plan's dependencies are those of the forward mapping, reversed.
+    ``inverse(smo, source, forward, level, side, invfn)``, for operators
+    whose plan is more than that, returns the ``InversePlan`` fields that
+    reversal cannot say, for a provenance level, side-table and
+    inverse-function availability: post-steps, the guarantee, side-table
+    lookups and, under ``tgds``, dependencies that replace reversed ones.
+    Without it the plan is exact.  ``features`` computes the
+    ``InstanceFeatures`` that the guarantees read.
     ``params`` maps each parameter to its shape; ``optional`` maps each
     parameter a spec may omit to the parameter whose value it then takes,
     or to None.
@@ -1110,9 +1087,9 @@ class Operator:
     inverse_kinds: tuple[str, ...]
     description: str
     forward: Callable
-    inverse: Callable
     demo: tuple[Schema, dict]  # a small schema and parameters for the catalog
     params: Mapping[str, str]
+    inverse: Callable | None = None
     optional: Mapping[str, str | None] = field(default_factory=dict)
     variants: int = 1
     features: Callable | None = None
@@ -1132,20 +1109,20 @@ _PARTNER_PARAMS = {"relation": NAME, "source": NAME, "join": JOIN,
 OPERATORS: dict[str, Operator] = {
     "COPY_TABLE": Operator(
         ("I",), ("DROP_TABLE", "MERGE_TABLE"), "duplicate a table",
-        _forward_copy_table, _inverse_copy_table, variants=2,
+        _forward_copy_table, variants=2,
         demo=(Schema.of(_rel("R", "a1", "a2", "a3")),
               {"table": "R", "copy": "V", "kept": "R'"}),
         params={"table": NAME, "copy": NAME, "kept": NAME}, optional={"kept": "table"}),
     "CREATE_TABLE": Operator(
         ("I",), ("DROP_TABLE",), "add a new, empty table",
-        _forward_create_table, _no_dependencies,
+        _forward_create_table,
         demo=(Schema.of(_rel("R", "a1", "a2")),
               {"table": "V", "attributes": ["b1", "b2"]}),
         params={"table": NAME, "attributes": NAMES}),
     "DECOMPOSE_TABLE": Operator(
         ("III",), ("ADD_COLUMN", "JOIN_TABLE"),
         "project a table onto two overlapping parts",
-        _forward_decompose, _inverse_decompose, variants=2,
+        _forward_decompose, inverse=_inverse_decompose, variants=2,
         features=_shared_key_duplicates,
         demo=(Schema.of(_rel("R", "a1", "a2", "a3")),
               {"table": "R",
@@ -1154,26 +1131,26 @@ OPERATORS: dict[str, Operator] = {
         params={"table": NAME, "parts": PARTS}),
     "DROP_TABLE": Operator(
         ("IV",), ("CREATE_TABLE",), "remove a table",
-        _forward_drop_table, _inverse_drop_table,
+        _forward_drop_table, inverse=_inverse_drop_table,
         demo=(Schema.of(_rel("R", "a1", "a2"), _rel("V", "b1", "b2")),
               {"table": "R"}),
         params={"table": NAME}),
     "JOIN_TABLE": Operator(
         ("II",), ("DECOMPOSE_TABLE",), "fuse two tables along a join condition",
-        _forward_join, _inverse_join, features=_join_danglings,
+        _forward_join, inverse=_inverse_join, features=_join_danglings,
         demo=(_PAIR, {"left": "R", "right": "V", "left_column": "name",
                       "right_column": "name", "target": "T"}),
         params=dict.fromkeys(("left", "right", "left_column", "right_column",
                                 "target"), NAME)),
     "MERGE_TABLE": Operator(
         ("IV",), ("PARTITION_TABLE",), "union two tables of equal shape into one",
-        _forward_merge_table, _inverse_merge_table,
+        _forward_merge_table, inverse=_inverse_merge_table,
         demo=(Schema.of(_rel("R", "a1", "a2", "a3"), _rel("V", "a1", "a2", "a3")),
               {"left": "R", "right": "V", "target": "T"}),
         params=dict.fromkeys(("left", "right", "target"), NAME)),
     "PARTITION_TABLE": Operator(
         ("I",), ("MERGE_TABLE",), "split a table in two by a row condition",
-        _forward_partition, _inverse_partition,
+        _forward_partition,
         demo=(Schema.of(_rel("R", "id", "name", "subject")),
               {"table": "R",
                "condition": {"attribute": "subject", "op": "=", "value": "Math"},
@@ -1181,31 +1158,31 @@ OPERATORS: dict[str, Operator] = {
         params={"table": NAME, "condition": CONDITION, "targets": PAIR}),
     "RENAME_TABLE": Operator(
         ("I",), ("RENAME_TABLE",), "change a table name",
-        _forward_rename_table, _inverse_rename_table,
+        _forward_rename_table,
         demo=(Schema.of(_rel("R", "a1", "a2")), {"table": "R", "to": "V"}),
         params={"table": NAME, "to": NAME}),
     "ADD_COLUMN": Operator(
         ("I",), ("DROP_COLUMN",),
         "append a column filled by a constant, a function, or nulls",
-        _forward_add_column, _inverse_drop_added_column, variants=2,
+        _forward_add_column, variants=2,
         demo=(Schema.of(_rel("R", "a1", "a2")),
               {"relation": "R", "column": "a3",
                "filler": {"function": "concat_pipe", "args": ["a1", "a2"]}}),
         params={"relation": NAME, "column": NAME, "filler": FILLER}),
     "COPY_COLUMN": Operator(
         ("I",), ("DROP_COLUMN",), "pull a column in from a partner table via a join",
-        _forward_copy_column, _inverse_drop_added_column, variants=2,
+        _forward_copy_column, variants=2,
         demo=(_PAIR, _PARTNER_JOIN),
         params=_PARTNER_PARAMS, optional={"as": "column"}),
     "DROP_COLUMN": Operator(
         ("III",), ("ADD_COLUMN",), "remove a column",
-        _forward_drop_column, _inverse_drop_column, features=_collapsed_rows,
+        _forward_drop_column, inverse=_inverse_drop_column, features=_collapsed_rows,
         demo=(Schema.of(_rel("R", "a1", "a2", "a3")),
               {"relation": "R", "column": "a3"}),
         params={"relation": NAME, "column": NAME}),
     "MERGE_COLUMN": Operator(
         ("III",), ("SPLIT_COLUMN",), "replace two columns by a function of both",
-        _forward_merge_column, _inverse_merge_column, features=_collapsed_rows,
+        _forward_merge_column, inverse=_inverse_merge_column, features=_collapsed_rows,
         demo=(Schema.of(_rel("R", "name", "mod1", "mod2")),
               {"relation": "R", "columns": ["mod1", "mod2"],
                "target_column": "sum", "function": "dec_add", "target": "T"}),
@@ -1215,18 +1192,18 @@ OPERATORS: dict[str, Operator] = {
     "MOVE_COLUMN": Operator(
         ("II", "III"), ("MOVE_COLUMN",),
         "like COPY_COLUMN, but the partner table loses the column",
-        _forward_move_column, _inverse_move_column,
+        _forward_move_column, inverse=_inverse_move_column,
         demo=(_PAIR, _PARTNER_JOIN),
         params=_PARTNER_PARAMS, optional={"as": "column"}),
     "RENAME_COLUMN": Operator(
         ("I",), ("RENAME_COLUMN",), "change a column name",
-        _forward_rename_column, _inverse_rename_column,
+        _forward_rename_column,
         demo=(Schema.of(_rel("R", "a1", "a2")),
               {"relation": "R", "column": "a2", "to": "b2"}),
         params={"relation": NAME, "column": NAME, "to": NAME}),
     "SPLIT_COLUMN": Operator(
         ("III",), ("MERGE_COLUMN",), "replace one column by two functions of it",
-        _forward_split_column, _inverse_split_column, features=_collapsed_rows,
+        _forward_split_column, inverse=_inverse_split_column, features=_collapsed_rows,
         demo=(Schema.of(_rel("R", "name", "code")),
               {"relation": "R", "column": "code",
                "target_columns": ["head", "tail"],
@@ -1236,7 +1213,7 @@ OPERATORS: dict[str, Operator] = {
                 "functions": PAIR, "recombine": NAME, "target": NAME},
         optional={"recombine": None, "target": "relation"}),
     "NOP": Operator(
-        ("I",), ("NOP",), "do nothing", _forward_nop, _no_dependencies,
+        ("I",), ("NOP",), "do nothing", _forward_nop,
         demo=(Schema.of(_rel("R", "a1", "a2")), {}),
         params={}),
 }

@@ -11,8 +11,8 @@ Subcommands::
                         [--side-tables] --report report.json
     backchase catalog
 
-Exit codes: 0 on success, 2 on validation errors, 3 when a classification
-falls below its predicted type.
+Exit codes: 0 on success, 2 on validation errors and on files that cannot
+be read or written, 3 when a classification falls below its predicted type.
 """
 
 from __future__ import annotations
@@ -160,6 +160,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except BackchaseError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

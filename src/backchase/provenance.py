@@ -234,6 +234,8 @@ def store_from_json(obj) -> ProvenanceStore:
     raw = obj.get("annotations", {})
     if not isinstance(raw, dict):
         raise ValidationError("store 'annotations' must be an object keyed by tuple id")
+    if mode == "none" and raw:
+        raise ValidationError("a store with provenance none holds no annotations")
     annotations: dict[TupleId, Annotation] = {}
     for key, value in raw.items():
         tid = TupleId.parse(key)

@@ -27,6 +27,7 @@ from .model import (
 )
 from .pipeline import EvolutionRun, EvolutionStep
 from .provenance import (
+    ProvenanceStore,
     check_mode,
     side_table_from_json,
     side_table_to_json,
@@ -97,12 +98,16 @@ def schema_to_json(schema: Schema) -> dict:
 
 def schema_from_json(obj) -> Schema:
     try:
-        return Schema(tuple(
-            RelationSchema(r["name"], tuple(r["attributes"]))
-            for r in obj["relations"]
-        ))
+        relations = [(r["name"], r["attributes"]) for r in obj["relations"]]
     except (TypeError, KeyError) as exc:
         raise ValidationError(f"malformed schema JSON: {obj!r}") from exc
+    for name, attributes in relations:
+        if not _is_list_of(attributes, str):
+            raise ValidationError(
+                f"relation {name!r}: 'attributes' must be a list of names, "
+                f"got {attributes!r}")
+    return Schema(tuple(RelationSchema(name, tuple(attributes))
+                        for name, attributes in relations))
 
 
 def mapping_to_json(mapping: SchemaMapping) -> dict:
@@ -118,8 +123,15 @@ def mapping_from_json(obj) -> SchemaMapping:
         raise ValidationError("mapping JSON must be an object")
     source = schema_from_json(obj.get("source", {}))
     target = schema_from_json(obj.get("target", {}))
-    tgds = tuple(parse_tgd(t) for t in obj.get("tgds", []))
-    return SchemaMapping(source, target, tgds)
+    tgds = obj.get("tgds", [])
+    if not _is_list_of(tgds, str):
+        raise ValidationError(
+            f"mapping 'tgds' must be a list of dependency strings, got {tgds!r}")
+    return SchemaMapping(source, target, tuple(map(parse_tgd, tgds)))
+
+
+def _is_list_of(obj, kind: type) -> bool:
+    return isinstance(obj, list) and all(isinstance(x, kind) for x in obj)
 
 
 def load_mapping(path: Path) -> SchemaMapping:
@@ -220,6 +232,7 @@ def load_run(run_dir: Path) -> EvolutionRun:
     prev_path = run_dir / initial_name
     prev_text = read_text(prev_path)
     prev = initial = load_instance(prev_path, prev_text)
+    prev_ids = _fact_ids(initial)
     steps: list[EvolutionStep] = []
     for i, (smo, step_name) in enumerate(zip(script, step_dirs)):
         step_dir = run_dir / step_name
@@ -235,12 +248,18 @@ def load_run(run_dir: Path) -> EvolutionRun:
                 f"what {smo.kind} makes of its source, {mapping.target.names()}"
             )
         store_path = step_dir / "store.json"
-        store = store_from_json(read_json(store_path))
+        store_json = read_json(store_path)
+        try:
+            store = store_from_json(store_json)
+        except ValidationError as exc:
+            raise ValidationError(f"{store_path}: {exc}") from None
         if store.mode != mode:
             raise ValidationError(
                 f"{store_path} holds {store.mode}-provenance, the run "
                 f"records {mode}"
             )
+        target_ids = _fact_ids(target)
+        _check_ids(store_path, store, source, prev_ids, target_ids)
         tables_path = step_dir / "side_tables.json"
         tables_obj = read_json(tables_path)
         if not isinstance(tables_obj, list):
@@ -265,11 +284,53 @@ def load_run(run_dir: Path) -> EvolutionRun:
                     f"{tables_path}: side table {table.name} has attributes "
                     f"{list(table.attributes)}, {smo.kind} keeps {list(kept)}"
                 )
+            relation = specs[table.name].relation
+            ids = {f.id for f in source.facts(relation)}
+            stray = [row.ref for row in table.rows if row.ref not in ids]
+            if stray:
+                raise ValidationError(
+                    f"{tables_path}: side table {table.name} refers to "
+                    f"{_ids_text(stray)}, not facts of {relation} in the step's source")
         steps.append(EvolutionStep(i, smo, mapping, source, target, store,
                                    {table.name: table for table in tables}))
         prev_path, prev_text, prev = target_path, target_text, target
+        prev_ids = target_ids
     _check_repeats(run_dir / final_name, prev_path, prev_text, prev)
     return EvolutionRun(mode, side_tables, script, initial, steps)
+
+
+def _check_ids(path: Path, store: ProvenanceStore, source: Instance,
+               source_ids: set, target_ids: set) -> None:
+    """Raise unless the store read from ``path`` annotates exactly the
+    target's facts, if it records provenance, and its annotations name only
+    source facts, or under ``where`` only source relations."""
+    if store.mode == "none":
+        return
+    keys = store.annotations.keys()
+    if keys != target_ids:
+        raise ValidationError(
+            f"{path} must annotate exactly the step's target facts; extra: "
+            f"{_ids_text(keys - target_ids) or 'none'}, missing: "
+            f"{_ids_text(target_ids - keys) or 'none'}")
+    annotations = store.annotations.values()
+    if store.mode == "where":
+        stray = set().union(*annotations).difference(source.schema.names())
+    elif store.mode == "why":
+        stray = {i for basis in annotations for w in basis for i in w} - source_ids
+    else:
+        stray = {i for p in annotations for mono, _ in p.terms for i in mono} - source_ids
+    if stray:
+        raise ValidationError(
+            f"{path}: annotations name {_ids_text(stray)}, which the step's "
+            f"source does not hold")
+
+
+def _fact_ids(instance: Instance) -> set:
+    return {f.id for rel in instance.schema.names() for f in instance.facts(rel)}
+
+
+def _ids_text(ids) -> str:
+    return ", ".join(sorted(map(str, ids)))
 
 
 def _check_repeats(path: Path, original_path: Path, original_text: str,

@@ -72,6 +72,28 @@ def test_classify_command(tmp_path, fixtures_dir, capsys):
                       "de_equivalent": True}
 
 
+@pytest.mark.parametrize("change, fragment", [
+    ({"tgds": 5}, "'tgds' must be a list of dependency strings, got 5"),
+    ({"tgds": [5]}, "'tgds' must be a list of dependency strings, got [5]"),
+    ({"tgds": [None]}, "'tgds' must be a list of dependency strings, got [None]"),
+    ({"source": {"relations": [{"name": "R", "attributes": "ab"}]}},
+     "relation 'R': 'attributes' must be a list of names, got 'ab'"),
+], ids=["tgds-number", "tgds-number-item", "tgds-null-item", "attributes-string"])
+def test_malformed_mapping_exits_2(tmp_path, fixtures_dir, capsys, change, fragment):
+    mapping = {"source": {"relations": [{"name": "R", "attributes": ["a", "b"]}]},
+               "target": {"relations": [{"name": "T", "attributes": ["a", "b"]}]},
+               "tgds": ["R(a,b) -> T(a,b)"], **change}
+    mpath = tmp_path / "mapping.json"
+    mpath.write_text(json.dumps(mapping))
+    src = fixtures_dir / "join_dangling_source.json"
+    code = run_cli("classify", "--original", str(src),
+                   "--reconstructed", str(src), "--mapping", str(mpath))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert "Traceback" not in err
+
+
 def test_roundtrip_report_exit_codes(tmp_path, fixtures_dir, capsys):
     report_path = tmp_path / "report.json"
     code = run_cli("roundtrip",
@@ -163,6 +185,42 @@ def test_directory_as_input_exits_2(tmp_path, fixtures_dir, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "is a directory" in err
+    assert "Traceback" not in err
+
+
+# Each: the arguments after the command's inputs, given a run directory, a
+# plain file and a scratch directory, and the path the error must name.
+FILE_ERRORS = {
+    "invert-run-is-a-file": lambda run, file, tmp: (
+        ["invert", "--run", file, "--out", tmp / "b.json"], file),
+    "invert-out-is-a-directory": lambda run, file, tmp: (
+        ["invert", "--run", run, "--out", tmp], tmp),
+    "invert-out-in-missing-directory": lambda run, file, tmp: (
+        ["invert", "--run", run, "--out", tmp / "missing" / "b.json"],
+        tmp / "missing" / "b.json"),
+    "roundtrip-report-is-a-directory": lambda run, file, tmp: (
+        ["roundtrip", "--report", tmp], tmp),
+    "evolve-out-is-a-file": lambda run, file, tmp: (
+        ["evolve", "--out", file], file),
+}
+
+
+@pytest.mark.parametrize("case", FILE_ERRORS.values(), ids=FILE_ERRORS.keys())
+def test_file_errors_exit_2(tmp_path, fixtures_dir, capsys, case):
+    run = tmp_path / "run"
+    inputs = ["--in", str(fixtures_dir / "join_dangling_source.json"),
+              "--script", str(fixtures_dir / "join_dangling_script.json"),
+              "--provenance", "how"]
+    assert run_cli("evolve", *inputs, "--out", str(run)) == 0
+    file = tmp_path / "plain.json"
+    file.write_text("{}")
+    argv, named = case(run, file, tmp_path)
+    if argv[0] != "invert":
+        argv[1:1] = inputs
+    capsys.readouterr()
+    assert run_cli(*map(str, argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(named) in err
     assert "Traceback" not in err
 
 
@@ -470,6 +528,44 @@ def test_malformed_store_exits_2(tmp_path, fixtures_dir, capsys, store, fragment
     assert_rejected(run, tmp_path, capsys, fragment)
 
 
+# A one-step DROP_COLUMN run of the join fixture: (provenance mode, side
+# tables, file of step 0, text replaced in the file as json.dumps writes it,
+# the replacement, and a fragment of the error).
+FOREIGN_IDS = {
+    "store-other-ids": ("how", False, "store.json", '"r3": "r1"', '"r9": "r7"',
+                        "must annotate exactly the step's target facts; "
+                        "extra: r9, missing: r3"),
+    "store-id-not-in-source": ("how", False, "store.json", '"r3": "r1"',
+                               '"r3": "r1*r7"', "annotations name r7, which"),
+    "why-id-not-in-source": ("why", False, "store.json", '[["r1"]]', '[["s9"]]',
+                             "annotations name s9, which"),
+    "where-relation-not-in-source": ("where", False, "store.json", '["R"]', '["Q"]',
+                                     "annotations name Q, which the step's source"),
+    "none-with-annotations": ("none", False, "store.json", '{}', '{"r3": "r1"}',
+                              "a store with provenance none holds no annotations"),
+    "side-row-not-in-source": ("how", True, "side_tables.json", '"ref": "r1"',
+                               '"ref": "s1"', "side table R_name refers to s1, "
+                               "not facts of R in the step's source"),
+}
+
+
+@pytest.mark.parametrize("case", FOREIGN_IDS.values(), ids=FOREIGN_IDS.keys())
+def test_ids_foreign_to_the_step_exit_2(tmp_path, fixtures_dir, capsys, case):
+    mode, side, name, old, new, fragment = case
+    script = tmp_path / "s.json"
+    script.write_text(json.dumps({"steps": [
+        {"kind": "DROP_COLUMN", "relation": "R", "column": "name"}]}))
+    run = tmp_path / "run"
+    assert run_cli("evolve", "--in", str(fixtures_dir / "join_dangling_source.json"),
+                   "--script", str(script), "--provenance", mode,
+                   "--out", str(run), *(["--side-tables"] if side else [])) == 0
+    path = run / "step_00" / name
+    text = json.dumps(json.loads(path.read_text()))
+    assert old in text
+    path.write_text(text.replace(old, new, 1))
+    assert_rejected(run, tmp_path, capsys, str(Path("step_00") / name), fragment)
+
+
 def test_boolean_null_label_exits_2(tmp_path, fixtures_dir, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"relations": [
@@ -535,13 +631,16 @@ def test_boolean_null_label_exits_2(tmp_path, fixtures_dir, capsys):
     ({"kind": "ADD_COLUMN", "relation": "R", "column": "w",
       "filler": {"const": float("inf")}},
      "field 'const' is a number in exponent form or not finite, got inf"),
+    # one table named twice would count each row as derived twice
+    ({"kind": "MERGE_TABLE", "left": "R", "right": "R", "target": "T"},
+     "step 0 (MERGE_TABLE): MERGE_TABLE needs two distinct tables"),
 ], ids=["condition-null", "condition-attribute-list", "filler-function-list",
         "filler-args-null", "join-column-object", "parts-attributes-null",
         "merge-column-targt", "copy-table-kep", "condition-value-list",
         "condition-value-bool", "filler-const-null", "filler-const-bool",
         "merge-column-twice", "condition-value-exponent",
         "condition-value-exponent-large", "condition-value-nan",
-        "filler-const-infinity"])
+        "filler-const-infinity", "merge-table-twice"])
 def test_mistyped_nested_parameters_exit_2(tmp_path, capsys, step, fragment):
     ipath, spath = tmp_path / "i.json", tmp_path / "s.json"
     ipath.write_text(json.dumps(FUZZ_INSTANCE))
