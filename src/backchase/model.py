@@ -200,10 +200,10 @@ class TupleId(tuple):
     @classmethod
     def parse(cls, text: str) -> "TupleId":
         """Split ``text`` into a tag and its trailing run of ASCII digits;
-        the tag may not contain a line break."""
+        the tag must be nonempty and may not contain a line break."""
         if isinstance(text, str):
             tag = text.rstrip("0123456789")
-            if len(tag) < len(text) and "\n" not in tag:
+            if tag and len(tag) < len(text) and "\n" not in tag:
                 try:
                     return cls(tag, int(text[len(tag):]))
                 except ValueError:  # more digits than int() converts
@@ -585,6 +585,33 @@ def value_from_json(obj) -> Value:
     raise ValidationError(f"malformed value {obj!r}")
 
 
+class InternTable:
+    """The constants and tuple ids decoded while reading one run, by their
+    text, so that each text is decoded once and one object stands for it in
+    every file; the rest goes to ``value_from_json`` or ``TupleId.parse``."""
+
+    def __init__(self):
+        self._constants: dict[str, Constant] = {}
+        self._ids: dict[str, TupleId] = {}
+
+    def value(self, obj) -> Value:
+        """``value_from_json(obj)``, one object per constant text."""
+        text = obj.get("const") if type(obj) is dict and len(obj) == 1 else None
+        if type(text) is not str:
+            return value_from_json(obj)
+        found = self._constants.get(text)
+        if found is None:
+            found = self._constants[text] = const(text)
+        return found
+
+    def tid(self, text) -> TupleId:
+        """``TupleId.parse(text)``, one object per id text."""
+        found = self._ids.get(text) if type(text) is str else None
+        if found is None:
+            found = self._ids[text] = TupleId.parse(text)
+        return found
+
+
 def instance_to_json(instance: Instance) -> dict:
     return {
         "relations": [
@@ -644,7 +671,12 @@ def _dumps_list(items: list[str], close: str) -> str:
     return "[\n" + ",\n".join(items) + close
 
 
-def instance_from_json(obj) -> Instance:
+def instance_from_json(obj, interned: InternTable | None = None) -> Instance:
+    """The instance of an instance file's JSON.  With ``interned``, the
+    intern table of a run, each constant and tuple id is the one object the
+    table holds for its text, shared with the run's other files."""
+    parse_id = interned.tid if interned else TupleId.parse
+    decode = interned.value if interned else value_from_json
     if not (isinstance(obj, dict) and isinstance(obj.get("relations"), list)):
         raise ValidationError("instance JSON must be an object with a 'relations' list")
     rels = []
@@ -670,7 +702,6 @@ def instance_from_json(obj) -> Instance:
                     f"malformed tuple in relation {name!r}: {t!r}; "
                     f"expected an object with 'id' and a 'values' list"
                 )
-            entries.append(Fact(TupleId.parse(t["id"]),
-                                tuple(value_from_json(v) for v in t["values"])))
+            entries.append(Fact(parse_id(t["id"]), tuple(map(decode, t["values"]))))
         facts[name] = entries
     return Instance(Schema(tuple(rels)), facts)

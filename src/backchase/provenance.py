@@ -12,7 +12,7 @@ from operator import attrgetter, le
 from typing import Iterable, Iterator
 
 from .errors import ValidationError
-from .model import Instance, TupleId, Value, value_from_json, value_to_json
+from .model import Instance, InternTable, TupleId, Value, value_from_json, value_to_json
 
 Monomial = tuple[TupleId, ...]  # sorted id multiset
 
@@ -113,11 +113,13 @@ def format_polynomial(p: Polynomial) -> str:
     return " + ".join(parts)
 
 
-def parse_polynomial(text: str) -> Polynomial:
-    """Read ``format_polynomial``'s text form.  Text already in canonical
-    order (each monomial sorted, the monomials strictly increasing, every
-    coefficient at least 1), as ``format_polynomial`` writes it, is taken
-    as it stands; anything else is canonicalized."""
+def parse_polynomial(text: str, interned: InternTable | None = None) -> Polynomial:
+    """Read ``format_polynomial``'s text form, its tuple ids through
+    ``interned`` when given.  Text already in canonical order (each monomial
+    sorted, the monomials strictly increasing, every coefficient at least
+    1), as ``format_polynomial`` writes it, is taken as it stands; anything
+    else is canonicalized."""
+    parse_id = interned.tid if interned else TupleId.parse
     text = text.strip()
     if text == "0":
         return Polynomial.zero()
@@ -140,7 +142,7 @@ def parse_polynomial(text: str) -> Polynomial:
                     raise ValidationError(
                         f"malformed polynomial coefficient {factor!r}") from None
             else:
-                ids.append(TupleId.parse(factor))
+                ids.append(parse_id(factor))
         key = _mono_key(ids)
         canonical = (canonical and coeff >= 1 and (last_key is None or last_key < key)
                      and all(map(le, key, key[1:])))
@@ -170,11 +172,12 @@ def basis_to_json(basis: WitnessBasis) -> list[list[str]]:
     return sorted([str(t) for t in sorted(w, key=_ID_KEY)] for w in basis)
 
 
-def basis_from_json(obj) -> WitnessBasis:
+def basis_from_json(obj, interned: InternTable | None = None) -> WitnessBasis:
     if not (isinstance(obj, list) and all(isinstance(w, list) for w in obj)):
         raise ValidationError(
             f"witness basis must be a list of lists of tuple ids, got {obj!r}")
-    return witness_basis([[TupleId.parse(s) for s in w] for w in obj])
+    parse_id = interned.tid if interned else TupleId.parse
+    return witness_basis([[parse_id(s) for s in w] for w in obj])
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +230,8 @@ def store_to_json(store: ProvenanceStore) -> dict:
     return {"mode": store.mode, "annotations": ann}
 
 
-def store_from_json(obj) -> ProvenanceStore:
+def store_from_json(obj, interned: InternTable | None = None) -> ProvenanceStore:
+    parse_id = interned.tid if interned else TupleId.parse
     if not isinstance(obj, dict):
         raise ValidationError("provenance store JSON must be an object")
     mode = check_mode(obj.get("mode", "none"))
@@ -238,14 +242,14 @@ def store_from_json(obj) -> ProvenanceStore:
         raise ValidationError("a store with provenance none holds no annotations")
     annotations: dict[TupleId, Annotation] = {}
     for key, value in raw.items():
-        tid = TupleId.parse(key)
+        tid = parse_id(key)
         if mode == "how":
             if not isinstance(value, str):
                 raise ValidationError(
                     f"how-provenance of {key} must be a polynomial string, got {value!r}")
-            annotations[tid] = parse_polynomial(value)
+            annotations[tid] = parse_polynomial(value, interned)
         elif mode == "why":
-            annotations[tid] = basis_from_json(value)
+            annotations[tid] = basis_from_json(value, interned)
         elif mode == "where":
             if not (isinstance(value, list) and all(isinstance(n, str) for n in value)):
                 raise ValidationError(
@@ -329,7 +333,11 @@ def side_table_to_json(table: SideTable) -> dict:
     }
 
 
-def side_table_from_json(obj) -> SideTable:
+def side_table_from_json(obj, interned: InternTable | None = None) -> SideTable:
+    """Read a side table, its constants and tuple ids through ``interned``
+    when given.  An error names the table, and a malformed row its index."""
+    parse_id = interned.tid if interned else TupleId.parse
+    decode = interned.value if interned else value_from_json
     if not (isinstance(obj, dict) and isinstance(obj.get("name"), str)
             and isinstance(obj.get("attributes"), list)
             and all(isinstance(a, str) for a in obj["attributes"])
@@ -337,20 +345,18 @@ def side_table_from_json(obj) -> SideTable:
         raise ValidationError(
             f"malformed side table JSON: expected an object with a "
             f"string 'name', a list of string 'attributes' and a 'rows' list")
-    try:
-        table = SideTable(
-            obj["name"],
-            tuple(obj["attributes"]),
-            tuple(
-                SideRow(
-                    TupleId.parse(r["ref"]),
-                    tuple(value_from_json(v) for v in r["values"]),
-                )
-                for r in obj.get("rows", [])
-            ),
-        )
-    except (TypeError, KeyError) as exc:
-        raise ValidationError(f"malformed side table JSON: {obj!r}") from exc
+    rows = obj.get("rows", [])
+    for i, r in enumerate(rows):
+        if not (isinstance(r, dict) and "ref" in r and isinstance(r.get("values"), list)):
+            raise ValidationError(
+                f"side table {obj['name']}: row {i} must be an object with a "
+                f"'ref' and a 'values' list")
+    table = SideTable(
+        obj["name"],
+        tuple(obj["attributes"]),
+        tuple(SideRow(parse_id(r["ref"]), tuple(map(decode, r["values"])))
+              for r in rows),
+    )
     for row in table.rows:
         if len(row.values) != len(table.attributes):
             raise ValidationError(

@@ -19,6 +19,7 @@ from .catalog import (
 from .errors import ValidationError
 from .model import (
     Instance,
+    InternTable,
     RelationSchema,
     Schema,
     instance_dumps,
@@ -68,11 +69,18 @@ def read_json(path: Path):
     return parse_json(path, read_text(path))
 
 
-def load_instance(path: Path, text: str | None = None) -> Instance:
-    """Read an instance file; ``text`` is its contents if already read."""
+def load_instance(path: Path, text: str | None = None,
+                  interned: InternTable | None = None) -> Instance:
+    """Read an instance file; ``text`` is its contents if already read, and
+    ``interned`` the intern table of the run it belongs to.  An error in the
+    file's contents names the file."""
     if text is None:
         text = read_text(path)
-    return instance_from_json(parse_json(path, text))
+    obj = parse_json(path, text)
+    try:
+        return instance_from_json(obj, interned)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def save_instance(path: Path, instance: Instance) -> None:
@@ -190,7 +198,10 @@ def load_run(run_dir: Path) -> EvolutionRun:
 
     Each instance file is read once; a file whose text equals the instance
     it must equal is not parsed again, and the already built instance is
-    shared, as ``evolve`` shares it."""
+    shared, as ``evolve`` shares it.  All files are decoded through one
+    ``InternTable``, dropped on return, so each distinct constant and tuple
+    id is decoded once per run and one object stands for it in every
+    instance, store and side table."""
     path = run_dir / "run.json"
     manifest = read_json(path)
     try:
@@ -231,16 +242,17 @@ def load_run(run_dir: Path) -> EvolutionRun:
         )
     prev_path = run_dir / initial_name
     prev_text = read_text(prev_path)
-    prev = initial = load_instance(prev_path, prev_text)
+    interned = InternTable()
+    prev = initial = load_instance(prev_path, prev_text, interned)
     prev_ids = _fact_ids(initial)
     steps: list[EvolutionStep] = []
     for i, (smo, step_name) in enumerate(zip(script, step_dirs)):
         step_dir = run_dir / step_name
-        _check_repeats(step_dir / "source.json", prev_path, prev_text, prev)
+        _check_repeats(step_dir / "source.json", prev_path, prev_text, prev, interned)
         source = prev
         target_path = step_dir / "target.json"
         target_text = read_text(target_path)
-        target = load_instance(target_path, target_text)
+        target = load_instance(target_path, target_text, interned)
         mapping = compile_forward(smo, source.schema)
         if not schemas_equal(mapping.target, target.schema):
             raise ValidationError(
@@ -250,7 +262,7 @@ def load_run(run_dir: Path) -> EvolutionRun:
         store_path = step_dir / "store.json"
         store_json = read_json(store_path)
         try:
-            store = store_from_json(store_json)
+            store = store_from_json(store_json, interned)
         except ValidationError as exc:
             raise ValidationError(f"{store_path}: {exc}") from None
         if store.mode != mode:
@@ -267,9 +279,9 @@ def load_run(run_dir: Path) -> EvolutionRun:
         try:
             specs = ({spec.name: spec for spec in side_table_specs(smo, source.schema)}
                      if side_tables else {})
+            tables = [side_table_from_json(obj, interned) for obj in tables_obj]
         except ValidationError as exc:
             raise ValidationError(f"{tables_path}: {exc}") from None
-        tables = [side_table_from_json(obj) for obj in tables_obj]
         names = sorted(table.name for table in tables)
         expected = sorted(specs)
         if names != expected:
@@ -295,7 +307,7 @@ def load_run(run_dir: Path) -> EvolutionRun:
                                    {table.name: table for table in tables}))
         prev_path, prev_text, prev = target_path, target_text, target
         prev_ids = target_ids
-    _check_repeats(run_dir / final_name, prev_path, prev_text, prev)
+    _check_repeats(run_dir / final_name, prev_path, prev_text, prev, interned)
     return EvolutionRun(mode, side_tables, script, initial, steps)
 
 
@@ -334,12 +346,12 @@ def _ids_text(ids) -> str:
 
 
 def _check_repeats(path: Path, original_path: Path, original_text: str,
-                   original: Instance) -> None:
+                   original: Instance, interned: InternTable) -> None:
     """Check that the instance file at ``path`` holds ``original``, read
-    from ``original_path`` as ``original_text``.  The file is parsed only
-    when its text differs."""
+    from ``original_path`` as ``original_text``.  The file is parsed, through
+    the run's ``interned`` table, only when its text differs."""
     text = read_text(path)
-    if text != original_text and load_instance(path, text) != original:
+    if text != original_text and load_instance(path, text, interned) != original:
         raise ValidationError(
             f"run directory does not chain: {path} differs from {original_path}"
         )

@@ -157,7 +157,7 @@ def test_malformed_tuple_exits_2(tmp_path, fixtures_dir, capsys, tuple_obj):
                    "--out", str(tmp_path / "out"))
     assert code == 2
     err = capsys.readouterr().err
-    assert "error: malformed tuple" in err
+    assert f"error: {bad}: malformed tuple" in err
     assert "Traceback" not in err
 
 
@@ -564,6 +564,56 @@ def test_ids_foreign_to_the_step_exit_2(tmp_path, fixtures_dir, capsys, case):
     assert old in text
     path.write_text(text.replace(old, new, 1))
     assert_rejected(run, tmp_path, capsys, str(Path("step_00") / name), fragment)
+
+
+def evolve_join(tmp_path, fixtures_dir, *flags: str) -> Path:
+    """A one-step run of the join fixture, recorded with ``flags``."""
+    run = tmp_path / "run"
+    assert run_cli("evolve", "--in", str(fixtures_dir / "join_dangling_source.json"),
+                   "--script", str(fixtures_dir / "join_dangling_script.json"),
+                   "--out", str(run), *flags) == 0
+    return run
+
+
+# A how + side-table run of the join fixture: (file, the values list that
+# replaces its first row's, and the error after the file's path).
+MALFORMED_ROWS = {
+    "value-in-initial": ("initial.json", [{"nul": 1}], "malformed value {'nul': 1}"),
+    "constant-in-step-target": (str(Path("step_00") / "target.json"), [{"const": 5}],
+                                "constant lexical must be a string, got 5"),
+    "constant-in-side-table": (str(Path("step_00") / "side_tables.json"),
+                               [{"const": 5}],
+                               "constant lexical must be a string, got 5"),
+    "side-row-values-not-a-list": (str(Path("step_00") / "side_tables.json"), 5,
+                                   "side table R_dangling: row 0 must be an object "
+                                   "with a 'ref' and a 'values' list"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
+def test_malformed_run_file_is_named(tmp_path, fixtures_dir, capsys, case):
+    name, values, message = case
+    run = evolve_join(tmp_path, fixtures_dir, "--provenance", "how", "--side-tables")
+    path = run / name
+    obj = json.loads(path.read_text())
+    row = obj[0]["rows"][0] if isinstance(obj, list) else obj["relations"][0]["tuples"][0]
+    row["values"] = values
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert invert_exit(run, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_tuple_id_without_a_tag_exits_2(tmp_path, fixtures_dir, capsys):
+    run = evolve_join(tmp_path, fixtures_dir)
+    for name in (Path("step_00") / "target.json", Path("target.json")):
+        path = run / name
+        text = path.read_text()
+        assert '"id": "t1"' in text
+        path.write_text(text.replace('"id": "t1"', '"id": "7"', 1))
+    assert_rejected(run, tmp_path, capsys, str(Path("step_00") / "target.json"),
+                    "malformed tuple id '7'")
 
 
 def test_boolean_null_label_exits_2(tmp_path, fixtures_dir, capsys):

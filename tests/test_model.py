@@ -68,8 +68,9 @@ def test_tuple_id_roundtrip():
     assert tid == TupleId("r", 12)
     assert str(tid) == "r12"
     assert TupleId.parse("r'3") == TupleId("r'", 3)
-    with pytest.raises(ValidationError):
-        TupleId.parse("nodigits")
+    for text in ("nodigits", "7", ""):
+        with pytest.raises(ValidationError, match="malformed tuple id"):
+            TupleId.parse(text)
 
 
 SCHEMA_R2 = Schema.of(RelationSchema("R", ("x", "y")))

@@ -14,6 +14,7 @@ from backchase import (
 )
 from backchase import storage
 from backchase.model import (
+    Constant,
     Fact,
     Null,
     RelationSchema,
@@ -24,7 +25,7 @@ from backchase.model import (
 )
 from backchase.pipeline import backchase, evolve
 from backchase.provenance import store_to_json
-from support import SMO_CASES
+from support import RESOURCE_CONFIGS, SMO_CASES
 
 
 def test_run_directory_roundtrip(tmp_path, merge_column_case):
@@ -44,6 +45,77 @@ def test_run_directory_roundtrip(tmp_path, merge_column_case):
     a, b = backchase(run), backchase(again)
     assert a.composed == b.composed
     assert instances_equal(a.instance, b.instance)
+    # every operator spec under every resource configuration loads as evolved
+    for kind, makers in sorted(SMO_CASES.items()):
+        rng = random.Random(kind)
+        for number, make in enumerate(makers):
+            instance, smo = make(rng)
+            for mode, side in RESOURCE_CONFIGS:
+                run = evolve(instance, [smo], mode, build_side_tables=side)
+                out = tmp_path / f"{kind}-{number}-{mode}-{side}"
+                storage.save_run(run, out)
+                assert storage.load_run(out) == run, (smo, mode, side)
+
+
+# A how + side-table run over the join fixture whose steps keep dangling
+# rows and a dropped column as side tables.
+THREE_STEPS = [
+    SmoSpec("JOIN_TABLE", {"left": "R", "right": "V", "left_column": "name",
+                           "right_column": "name", "target": "T"}),
+    SmoSpec("DROP_COLUMN", {"relation": "T", "column": "subject"}),
+    SmoSpec("COPY_TABLE", {"table": "T", "copy": "W"}),
+]
+
+
+def held_values(run) -> list:
+    """Every constant and tuple id the run holds, with repeats: in its
+    instances' facts, its stores' keys and monomials and its side tables'
+    refs and values."""
+    instances = [run.initial] + [s.target for s in run.steps]
+    out = [x for inst in instances for _, f in inst.iter_facts() for x in (f.id, *f.values)]
+    for step in run.steps:
+        for tid, poly in step.store.annotations.items():
+            out.append(tid)
+            out.extend(i for mono, _ in poly.terms for i in mono)
+        for table in step.side_tables.values():
+            out.extend(x for row in table.rows for x in (row.ref, *row.values))
+    return out
+
+
+def test_load_run_holds_one_object_per_constant_and_tuple_id(tmp_path, join_case):
+    run = evolve(join_case["source"], THREE_STEPS, "how", build_side_tables=True)
+    storage.save_run(run, tmp_path / "run")
+    loaded = storage.load_run(tmp_path / "run")
+    assert loaded == run and all(s.side_tables for s in loaded.steps[:2])
+    held = held_values(loaded)
+    for kind in (Constant, TupleId):
+        objects = [x for x in held if type(x) is kind]
+        assert len(objects) > len(set(objects))
+        assert len({id(x) for x in objects}) == len(set(objects))
+
+
+def test_non_canonical_constants_load_canonical(tmp_path):
+    schema = Schema.of(RelationSchema("R", ("x", "y", "z")))
+    instance = Instance(schema, {"R": [
+        Fact(TupleId("r", 1), (const("7"), const("a"), const("1.5"))),
+        Fact(TupleId("r", 2), (const("8"), const("b"), const("2.5")))]})
+    run = evolve(instance, [SmoSpec("DROP_COLUMN", {"relation": "R", "column": "z"})],
+                 "how", build_side_tables=True)
+    out = tmp_path / "run"
+    storage.save_run(run, out)
+    for name, old, new in [("initial.json", '"7"', '"007"'),
+                           ("initial.json", '"1.5"', '"+1.50"'),
+                           ("step_00/side_tables.json", '"2.5"', '"2.500"')]:
+        path = out / name
+        assert old in path.read_text()
+        path.write_text(path.read_text().replace(old, new))
+    loaded = storage.load_run(out)
+    assert loaded == run
+    seven, _, one_and_a_half = loaded.initial.facts("R")[0].values
+    assert seven == const("007") == Constant("7", "integer")
+    assert one_and_a_half == const("+1.50") == Constant("1.5", "decimal")
+    (table,) = loaded.steps[0].side_tables.values()
+    assert table.rows[1].values == (const("2.500"),) == (Constant("2.5", "decimal"),)
 
 
 def test_mapping_file_roundtrip(tmp_path):
