@@ -586,23 +586,32 @@ def value_from_json(obj) -> Value:
 
 
 class InternTable:
-    """The constants and tuple ids decoded while reading one run, by their
-    text, so that each text is decoded once and one object stands for it in
-    every file; the rest goes to ``value_from_json`` or ``TupleId.parse``."""
+    """The constants and tuple ids decoded while reading one run, or one
+    instance file, by their text, so that each text is decoded once and one
+    object stands for it in every file.  Constants are decoded by ``hook``
+    as the JSON parser closes each constant object; ``value`` takes what
+    the parser made of a value's JSON, and ``tid`` an id text."""
 
     def __init__(self):
         self._constants: dict[str, Constant] = {}
         self._ids: dict[str, TupleId] = {}
 
-    def value(self, obj) -> Value:
-        """``value_from_json(obj)``, one object per constant text."""
-        text = obj.get("const") if type(obj) is dict and len(obj) == 1 else None
+    def hook(self, obj: dict):
+        """A ``json.loads`` object hook: a one-key ``{"const": <str>}``
+        object becomes the table's constant for its text, and any other
+        object stays as it is."""
+        text = obj.get("const") if len(obj) == 1 else None
         if type(text) is not str:
-            return value_from_json(obj)
+            return obj
         found = self._constants.get(text)
         if found is None:
             found = self._constants[text] = const(text)
         return found
+
+    def value(self, obj) -> Value:
+        """A constant ``hook`` decoded as it stands; anything else through
+        ``value_from_json``."""
+        return obj if type(obj) is Constant else value_from_json(obj)
 
     def tid(self, text) -> TupleId:
         """``TupleId.parse(text)``, one object per id text."""
@@ -673,21 +682,24 @@ def _dumps_list(items: list[str], close: str) -> str:
 
 def instance_from_json(obj, interned: InternTable | None = None) -> Instance:
     """The instance of an instance file's JSON.  With ``interned``, the
-    intern table of a run, each constant and tuple id is the one object the
-    table holds for its text, shared with the run's other files."""
+    intern table of a run, each tuple id is the one object the table holds
+    for its text, and so is each constant when ``obj`` was parsed with
+    ``interned.hook``; they are shared with the run's other files."""
     parse_id = interned.tid if interned else TupleId.parse
     decode = interned.value if interned else value_from_json
     if not (isinstance(obj, dict) and isinstance(obj.get("relations"), list)):
         raise ValidationError("instance JSON must be an object with a 'relations' list")
     rels = []
     facts: dict[str, list[Fact]] = {}
-    for rel_obj in obj["relations"]:
+    for i, rel_obj in enumerate(obj["relations"]):
         try:
             name = rel_obj["name"]
             attributes = rel_obj["attributes"]
             tuples = rel_obj.get("tuples", [])
-        except (TypeError, KeyError) as exc:
-            raise ValidationError(f"malformed relation entry: {rel_obj!r}") from exc
+        except (TypeError, KeyError):
+            raise ValidationError(
+                f"relation {i} must be an object with a 'name', an 'attributes' "
+                f"list and a 'tuples' list") from None
         if not (isinstance(attributes, list) and isinstance(tuples, list)):
             raise ValidationError(
                 f"malformed relation entry {name!r}: expected an 'attributes' "
@@ -695,13 +707,12 @@ def instance_from_json(obj, interned: InternTable | None = None) -> Instance:
             )
         rels.append(RelationSchema(name, tuple(attributes)))
         entries = []
-        for t in tuples:
+        for j, t in enumerate(tuples):
             if not (isinstance(t, dict) and "id" in t
                     and isinstance(t.get("values"), list)):
                 raise ValidationError(
-                    f"malformed tuple in relation {name!r}: {t!r}; "
-                    f"expected an object with 'id' and a 'values' list"
-                )
+                    f"malformed tuple {j} in relation {name}: expected an object "
+                    f"with an 'id' and a 'values' list")
             entries.append(Fact(parse_id(t["id"]), tuple(map(decode, t["values"]))))
         facts[name] = entries
     return Instance(Schema(tuple(rels)), facts)

@@ -118,9 +118,13 @@ def parse_polynomial(text: str, interned: InternTable | None = None) -> Polynomi
     ``interned`` when given.  Text already in canonical order (each monomial
     sorted, the monomials strictly increasing, every coefficient at least
     1), as ``format_polynomial`` writes it, is taken as it stands; anything
-    else is canonicalized."""
+    else is canonicalized.  A text with no ``+``, no ``*`` and not all
+    digits is one tuple id, read without the term parser: the result, or
+    the error, is the one the term parser gives."""
     parse_id = interned.tid if interned else TupleId.parse
     text = text.strip()
+    if "+" not in text and "*" not in text and text and not text.isdigit():
+        return Polynomial((((parse_id(text),), 1),))
     if text == "0":
         return Polynomial.zero()
     terms = []
@@ -334,8 +338,9 @@ def side_table_to_json(table: SideTable) -> dict:
 
 
 def side_table_from_json(obj, interned: InternTable | None = None) -> SideTable:
-    """Read a side table, its constants and tuple ids through ``interned``
-    when given.  An error names the table, and a malformed row its index."""
+    """Read a side table, its tuple ids through ``interned`` when given, and
+    its constants too when ``obj`` was parsed with ``interned.hook``.  An
+    error names the table, and a malformed row its index."""
     parse_id = interned.tid if interned else TupleId.parse
     decode = interned.value if interned else value_from_json
     if not (isinstance(obj, dict) and isinstance(obj.get("name"), str)

@@ -57,30 +57,51 @@ def read_text(path: Path) -> str:
         raise ValidationError(f"{path} is not UTF-8 text: {exc}") from None
 
 
-def parse_json(path: Path, text: str):
-    """Parse ``text``, read from ``path`` (named in the error)."""
+def parse_json(path: Path, text: str, hook=None):
+    """Parse ``text``, read from ``path`` (named in the error), with
+    ``hook`` as the ``json.loads`` object hook when given."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_hook=hook)
     except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValidationError(f"{path} is not valid JSON: nested too deeply") from None
 
 
 def read_json(path: Path):
     return parse_json(path, read_text(path))
 
 
+def _decode_json(path: Path, text: str, interned: InternTable, decode):
+    """``decode`` of the JSON ``text`` read from ``path``, parsed with
+    ``interned.hook``, so each constant is decoded as the parser reads it.
+    When that raises, ``text`` is parsed and decoded again without the hook,
+    and what that plain decode raises is reported: every error then shows
+    the file's own JSON, and a file's first error stays first."""
+    try:
+        return decode(parse_json(path, text, interned.hook))
+    except ValidationError:
+        return decode(parse_json(path, text))
+
+
 def load_instance(path: Path, text: str | None = None,
                   interned: InternTable | None = None) -> Instance:
     """Read an instance file; ``text`` is its contents if already read, and
-    ``interned`` the intern table of the run it belongs to.  An error in the
-    file's contents names the file."""
+    ``interned`` the intern table of the run it belongs to, or of this file
+    alone when not given.  Each constant is decoded as the JSON parser reads
+    it (``_decode_json``).  An error in the file's contents names the file."""
     if text is None:
         text = read_text(path)
-    obj = parse_json(path, text)
-    try:
-        return instance_from_json(obj, interned)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    if interned is None:
+        interned = InternTable()
+
+    def decode(obj) -> Instance:
+        try:
+            return instance_from_json(obj, interned)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from None
+
+    return _decode_json(path, text, interned, decode)
 
 
 def save_instance(path: Path, instance: Instance) -> None:
@@ -201,7 +222,10 @@ def load_run(run_dir: Path) -> EvolutionRun:
     shared, as ``evolve`` shares it.  All files are decoded through one
     ``InternTable``, dropped on return, so each distinct constant and tuple
     id is decoded once per run and one object stands for it in every
-    instance, store and side table."""
+    instance, store and side table.  Instance and side-table files are
+    parsed with the table's object hook, which decodes each constant as the
+    JSON parser reads it; stores and ``run.json`` hold no constants and are
+    parsed plainly."""
     path = run_dir / "run.json"
     manifest = read_json(path)
     try:
@@ -273,15 +297,20 @@ def load_run(run_dir: Path) -> EvolutionRun:
         target_ids = _fact_ids(target)
         _check_ids(store_path, store, source, prev_ids, target_ids)
         tables_path = step_dir / "side_tables.json"
-        tables_obj = read_json(tables_path)
-        if not isinstance(tables_obj, list):
-            raise ValidationError(f"{tables_path} must hold a list of side tables")
-        try:
-            specs = ({spec.name: spec for spec in side_table_specs(smo, source.schema)}
-                     if side_tables else {})
-            tables = [side_table_from_json(obj, interned) for obj in tables_obj]
-        except ValidationError as exc:
-            raise ValidationError(f"{tables_path}: {exc}") from None
+
+        def decode_tables(obj) -> tuple:
+            if not isinstance(obj, list):
+                raise ValidationError(f"{tables_path} must hold a list of side tables")
+            try:
+                specs = ({spec.name: spec
+                          for spec in side_table_specs(smo, source.schema)}
+                         if side_tables else {})
+                return specs, [side_table_from_json(t, interned) for t in obj]
+            except ValidationError as exc:
+                raise ValidationError(f"{tables_path}: {exc}") from None
+
+        specs, tables = _decode_json(tables_path, read_text(tables_path), interned,
+                                    decode_tables)
         names = sorted(table.name for table in tables)
         expected = sorted(specs)
         if names != expected:

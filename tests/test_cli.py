@@ -1,3 +1,4 @@
+import copy
 import json
 import shutil
 import subprocess
@@ -575,34 +576,148 @@ def evolve_join(tmp_path, fixtures_dir, *flags: str) -> Path:
     return run
 
 
-# A how + side-table run of the join fixture: (file, the values list that
-# replaces its first row's, and the error after the file's path).
+def entries(obj) -> list:
+    """The relations of an instance file's JSON, or the tables of a
+    side-table file's."""
+    return obj if isinstance(obj, list) else obj["relations"]
+
+
+def rows(entry: dict) -> list:
+    """The tuples of a relation, or the rows of a side table."""
+    return entry["rows"] if "rows" in entry else entry["tuples"]
+
+
+def first_row_values(values):
+    """An edit that gives the first row of the first entry ``values``."""
+    def edit(obj):
+        rows(entries(obj)[0])[0]["values"] = values
+    return edit
+
+
+def nameless_relation_of_10k_rows(obj):
+    relation = obj["relations"][0]
+    relation["tuples"] = [{"id": f"r{i}", "values": [{"const": str(i)}, {"const": "x"}]}
+                          for i in range(1, 10_001)]
+    del relation["name"]
+
+
+def tuple_without_id(obj):
+    del obj["relations"][0]["tuples"][1]["id"]
+
+
+# A how + side-table run of the join fixture: (file, an edit of its JSON,
+# and the error after the file's path).
 MALFORMED_ROWS = {
-    "value-in-initial": ("initial.json", [{"nul": 1}], "malformed value {'nul': 1}"),
-    "constant-in-step-target": (str(Path("step_00") / "target.json"), [{"const": 5}],
+    "value-in-initial": ("initial.json", first_row_values([{"nul": 1}]),
+                         "malformed value {'nul': 1}"),
+    "constant-in-step-target": (str(Path("step_00") / "target.json"),
+                                first_row_values([{"const": 5}]),
                                 "constant lexical must be a string, got 5"),
     "constant-in-side-table": (str(Path("step_00") / "side_tables.json"),
-                               [{"const": 5}],
+                               first_row_values([{"const": 5}]),
                                "constant lexical must be a string, got 5"),
-    "side-row-values-not-a-list": (str(Path("step_00") / "side_tables.json"), 5,
+    "side-row-values-not-a-list": (str(Path("step_00") / "side_tables.json"),
+                                   first_row_values(5),
                                    "side table R_dangling: row 0 must be an object "
                                    "with a 'ref' and a 'values' list"),
+    "relation-without-name": ("initial.json", nameless_relation_of_10k_rows,
+                              "relation 0 must be an object with a 'name', an "
+                              "'attributes' list and a 'tuples' list"),
+    "tuple-without-id": ("initial.json", tuple_without_id,
+                         "malformed tuple 1 in relation R: expected an object "
+                         "with an 'id' and a 'values' list"),
 }
 
 
-@pytest.mark.parametrize("case", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
-def test_malformed_run_file_is_named(tmp_path, fixtures_dir, capsys, case):
-    name, values, message = case
+def assert_run_file_error(tmp_path, fixtures_dir, capsys, name, edit, message):
     run = evolve_join(tmp_path, fixtures_dir, "--provenance", "how", "--side-tables")
     path = run / name
     obj = json.loads(path.read_text())
-    row = obj[0]["rows"][0] if isinstance(obj, list) else obj["relations"][0]["tuples"][0]
-    row["values"] = values
+    edit(obj)
     path.write_text(json.dumps(obj))
     capsys.readouterr()
     assert invert_exit(run, tmp_path) == 2
     err = capsys.readouterr().err
     assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("case", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
+def test_malformed_run_file_is_named(tmp_path, fixtures_dir, capsys, case):
+    assert_run_file_error(tmp_path, fixtures_dir, capsys, *case)
+
+
+LONG_INTEGER = {"const": "9" * 5000}
+
+
+def structure_before_long_constant(obj):
+    """Break the first entry's structure, and put a constant too long to
+    decode in the second entry, a copy of the first if there is none."""
+    found = entries(obj)
+    if len(found) == 1:
+        found.append({**copy.deepcopy(found[0]), "name": found[0]["name"] + "2"})
+    first, second = found[:2]
+    key, id_key = ("rows", "ref") if "rows" in first else ("tuples", "id")
+    second[key] = [{id_key: first[key][0][id_key], "values": [LONG_INTEGER]}]
+    first[key] = 5
+
+
+HOOKED_FILES = {"initial": "initial.json",
+                "step-target": str(Path("step_00") / "target.json"),
+                "side-tables": str(Path("step_00") / "side_tables.json")}
+# An edit of a run file, and the error it gives in any of HOOKED_FILES, or
+# None for the file's own STRUCTURE_ERRORS entry.
+HOOKED_ERRORS = {
+    "nul-value": (first_row_values([{"nul": 1}]), "malformed value {'nul': 1}"),
+    "non-string-constant": (first_row_values([{"const": 5}]),
+                            "constant lexical must be a string, got 5"),
+    "long-integer": (first_row_values([LONG_INTEGER]),
+                     "integer constant of 5000 characters is too long"),
+    "constant-of-a-constant": (first_row_values([{"const": {"const": "x"}}]),
+                               "constant lexical must be a string, got {'const': 'x'}"),
+    "constant-in-a-list": (first_row_values([[{"const": "x"}]]),
+                           "malformed value [{'const': 'x'}]"),
+    "structure-before-long-constant": (structure_before_long_constant, None),
+}
+STRUCTURE_ERRORS = {
+    "initial": "malformed relation entry 'R': expected an 'attributes' list "
+               "and a 'tuples' list",
+    "step-target": "malformed relation entry 'T': expected an 'attributes' list "
+                   "and a 'tuples' list",
+    "side-tables": "malformed side table JSON: expected an object with a string "
+                   "'name', a list of string 'attributes' and a 'rows' list",
+}
+
+
+@pytest.mark.parametrize("file", HOOKED_FILES)
+@pytest.mark.parametrize("error", HOOKED_ERRORS)
+def test_run_file_error_shows_the_file_json(tmp_path, fixtures_dir, capsys, file, error):
+    # constants are decoded as the file is parsed; an error still shows the
+    # value as the file holds it, and the file's first error comes first
+    edit, message = HOOKED_ERRORS[error]
+    assert_run_file_error(tmp_path, fixtures_dir, capsys, HOOKED_FILES[file], edit,
+                          message or STRUCTURE_ERRORS[file])
+
+
+@pytest.mark.parametrize("file", ["--in", "--script", "run.json",
+                                  str(Path("step_00") / "store.json")])
+def test_deeply_nested_json_exits_2(tmp_path, fixtures_dir, capsys, file):
+    deep = "[" * 200_000 + "]" * 200_000
+    if file.startswith("--"):
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        files = {"--in": str(fixtures_dir / "join_dangling_source.json"),
+                 "--script": str(fixtures_dir / "join_dangling_script.json"),
+                 file: str(path)}
+        code = run_cli("evolve", *(a for flag in files.items() for a in flag),
+                       "--out", str(tmp_path / "run"))
+    else:
+        run = evolve_join(tmp_path, fixtures_dir, "--provenance", "how")
+        path = run / file
+        path.write_text(deep)
+        capsys.readouterr()
+        code = invert_exit(run, tmp_path)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {path} is not valid JSON: nested too deeply\n"
 
 
 def test_tuple_id_without_a_tag_exits_2(tmp_path, fixtures_dir, capsys):

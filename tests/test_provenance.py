@@ -175,6 +175,51 @@ def test_poly_add_of_canonical_polynomials(p, q):
     assert parse_polynomial(format_polynomial(p)) == p
 
 
+# Texts at the edge of the single-id reading, and what each gives: a
+# polynomial, or the message of the ValidationError it raises.
+PARSE_EDGES = {
+    "r1": P(r1),
+    " r1 ": P(r1),
+    "": "malformed polynomial term ''",
+    "r": "malformed tuple id 'r'; expected <tag><ordinal>",
+    "5": Polynomial((((), 5),)),
+    "0": Polynomial.zero(),
+    "r1*": "malformed polynomial term 'r1*'",
+    "+r1": "malformed polynomial term ''",
+    "\u0663*r1": Polynomial((((r1,), 3),)),  # an Arabic-Indic 3 as coefficient
+    "\u00b2": "malformed polynomial coefficient '\u00b2'",
+    "r1 + r1": Polynomial((((r1,), 2),)),
+    "5r": "malformed tuple id '5r'; expected <tag><ordinal>",
+}
+
+
+@pytest.mark.parametrize("text", PARSE_EDGES)
+def test_parse_edge_texts(text):
+    expected = PARSE_EDGES[text]
+    if isinstance(expected, str):
+        with pytest.raises(ValidationError) as caught:
+            parse_polynomial(text)
+        assert str(caught.value) == expected
+    else:
+        assert parse_polynomial(text) == expected
+
+
+any_tuple_ids = st.builds(TupleId, st.sampled_from(["r", "s", "Emp", "t_", "\u00e9", "x9y"]),
+                          st.integers(0, 10**6))
+sums_and_products = st.one_of(
+    any_tuple_ids.map(Polynomial.of),
+    st.lists(st.tuples(st.lists(any_tuple_ids, max_size=3), st.integers(0, 4)),
+             max_size=4).map(Polynomial.build))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sums_and_products)
+def test_polynomial_text_roundtrip(p):
+    # one-id texts are read without the term parser, the rest with it
+    text = format_polynomial(p)
+    assert parse_polynomial(text) == parse_polynomial(f" {text}\n") == p
+
+
 def test_parse_canonicalizes_text_out_of_order():
     r10 = TupleId("r", 10)
     assert parse_polynomial("r1 + r1") == Polynomial((((r1,), 2),))

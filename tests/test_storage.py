@@ -16,15 +16,17 @@ from backchase import storage
 from backchase.model import (
     Constant,
     Fact,
+    InternTable,
     Null,
     RelationSchema,
     Schema,
     TupleId,
     const,
     instance_dumps,
+    instance_from_json,
 )
 from backchase.pipeline import backchase, evolve
-from backchase.provenance import store_to_json
+from backchase.provenance import side_table_from_json, store_to_json
 from support import RESOURCE_CONFIGS, SMO_CASES
 
 
@@ -92,6 +94,33 @@ def test_load_run_holds_one_object_per_constant_and_tuple_id(tmp_path, join_case
         objects = [x for x in held if type(x) is kind]
         assert len(objects) > len(set(objects))
         assert len({id(x) for x in objects}) == len(set(objects))
+
+
+@pytest.mark.parametrize("kind", sorted(SMO_CASES))
+def test_hooked_decode_equals_plain_decode(tmp_path, kind):
+    # every instance and side-table file of a saved run decodes to the same
+    # objects parsed with an intern table's object hook as parsed plainly
+    rng = random.Random(kind)
+    for number, make in enumerate(SMO_CASES[kind]):
+        instance, smo = make(rng)
+        for mode, side in RESOURCE_CONFIGS:
+            out = tmp_path / f"{number}-{mode}-{side}"
+            storage.save_run(evolve(instance, [smo], mode, build_side_tables=side), out)
+            interned = InternTable()
+            for path in out.rglob("*.json"):
+                if path.name in ("run.json", "store.json"):
+                    continue
+                text = path.read_text(encoding="utf-8")
+                hooked = json.loads(text, object_hook=interned.hook)
+                plain = json.loads(text)
+                assert '"const"' not in json.dumps(hooked), path
+                if path.name == "side_tables.json":
+                    assert [side_table_from_json(t, interned) for t in hooked] == \
+                        [side_table_from_json(t) for t in plain], path
+                else:
+                    decoded = instance_from_json(hooked, interned)
+                    assert decoded == instance_from_json(plain), path
+                    assert instance_dumps(decoded) == text, path
 
 
 def test_non_canonical_constants_load_canonical(tmp_path):
