@@ -7,15 +7,18 @@ then tuple id), nested left to right over the body atoms.  Each instance sorts
 a relation into canonical order once (``Instance.sorted_facts``), however many
 chases read it.
 
-Each tgd compiles once into a cached plan (``_plan``).  Per body atom, the
-plan holds the hash-index key on the positions the atoms before it fix,
-through shared variables or ``=`` conditions between variables, and the
-positions at which the atom binds variables, checks earlier bindings and
-checks constants, less the checks the key already guarantees.  The index
-skips facts that cannot match but keeps canonical order inside each bucket,
-so the triggers that fire, and their order, are those of the plain nested
-loop.  Per head atom, the plan holds the variables that make up its vector
-when every term is a variable.
+Each tgd compiles once into a cached plan (``_plan``) over slots: each body
+variable gets an index in order of first binding, then the existentials.  Per
+body atom, the plan holds the hash-index key on the positions earlier atoms
+fix (through shared variables or ``=`` conditions), the checks the key does
+not guarantee, and an ``itemgetter`` for its new slots: the fact's own value
+tuple when the first atom binds every position in order.  Buckets keep
+canonical order, so the triggers that fire, and their order, are those of the
+plain nested loop.  Conditions compile to operators over slots and constants,
+whose order keys are computed once.  A head atom of variables is an
+``itemgetter`` over the slots, or the slots tuple itself when it lists them
+in order, so identity dependencies share the source vector; function terms
+compile to closures over slot indices.
 
 Each trigger allocates one fresh null per existential variable, evaluates
 function terms over bound constants, and emits its head atoms.  Output facts
@@ -28,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from operator import eq, ge, gt, itemgetter, le, lt
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .errors import ChaseError, SchemaMismatch
+from .errors import ChaseError, ProvenanceError, SchemaMismatch
 from .functions import FunctionRegistry, default_registry
 from .model import (
     Constant,
@@ -47,9 +51,10 @@ from .model import (
     seed_allocators,
 )
 from .provenance import Polynomial, ProvenanceStore, check_mode, poly_add
-from .tgds import Comparison, SchemaMapping, StTgd, Term, Variable
+from .tgds import SchemaMapping, StTgd, Term, Variable
 
-Bindings = dict[str, Value]
+Slots = tuple[Value, ...]
+_TESTS = {"=": eq, "<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def sorted_facts(instance: Instance, relation: str) -> tuple[Fact, ...]:
@@ -61,39 +66,48 @@ def _sorted_facts(instance: Instance) -> dict[str, tuple[Fact, ...]]:
     return {rel: instance.sorted_facts(rel) for rel in instance.schema.names()}
 
 
+def _picker(indices: Sequence[int]) -> Callable[[tuple], tuple]:
+    """An ``itemgetter`` that returns a tuple for any number of indices; a
+    run of consecutive ones is a slice, which returns a whole tuple itself."""
+    start = indices[0] if indices else 0
+    if list(indices) == list(range(start, start + len(indices))):
+        return itemgetter(slice(start, start + len(indices)))
+    return itemgetter(*indices)
+
+
 @dataclass(frozen=True, slots=True)
 class _BodyStep:
     """How one body atom is matched once the atoms before it are.
 
-    The index key: ``positions`` are the positions earlier atoms fix and
-    ``sources`` the variables whose bindings supply the values there;
-    ``strict`` holds the positions fixed only through an ``=`` condition, where
-    a null can never satisfy the condition, so facts with one are left out
-    of the index.  A fact found under the key still has to hold
-    ``constants`` (position, constant), agree with earlier atoms at
-    ``checks`` (position, variable) and repeat itself at ``repeats``
-    (position, position of the variable's first occurrence); it then binds
-    ``binds`` (position, variable)."""
+    The index key: ``key`` reads it off a fact at the positions earlier atoms
+    fix, ``lookup`` off the slots that supply the values there (both None
+    when the atom is scanned); ``strict`` holds the positions fixed only
+    through an ``=`` condition, where a null can never satisfy the condition,
+    so facts with one are left out of the index.  A fact found under the key
+    still has to hold ``constants`` (position, constant), agree with the slots
+    at ``checks`` (position, slot) and repeat itself at ``repeats`` (position,
+    position of the variable's first occurrence); ``bind`` then reads the
+    slots it adds, none when it binds no new variable."""
 
     relation: str
-    positions: tuple[int, ...]
-    sources: tuple[str, ...]
+    key: Callable[[tuple], object] | None
+    lookup: Callable[[tuple], object] | None
     strict: tuple[int, ...]
     constants: tuple[tuple[int, Constant], ...]
-    checks: tuple[tuple[int, str], ...]
+    checks: tuple[tuple[int, int], ...]
     repeats: tuple[tuple[int, int], ...]
-    binds: tuple[tuple[int, str], ...]
+    bind: Callable[[tuple], tuple]
 
 
 @dataclass(frozen=True, slots=True)
 class _HeadStep:
-    """One head atom: ``names`` are the variables of its vector, in order,
-    when every term is a variable, else None and ``terms`` are evaluated."""
+    """One head atom: ``pick`` reads its vector off the slots when every term
+    is a variable, else it is None and ``terms`` are evaluated."""
 
     relation: str
     tag: str
-    names: tuple[str, ...] | None
-    terms: tuple[Term, ...]
+    pick: Callable[[Slots], Slots] | None
+    terms: tuple[Callable[[Slots, FunctionRegistry], Value], ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,6 +115,29 @@ class _Plan:
     body: tuple[_BodyStep, ...]
     head: tuple[_HeadStep, ...]
     existential: tuple[str, ...]
+    # per comparison: its operator, whether it compares order keys, and each
+    # side's slot or constant (its order key when compared by order)
+    conditions: tuple[tuple[Callable, bool, object, object], ...]
+
+
+def _compile_term(term: Term, slot: Mapping[str, int]) -> Callable:
+    """``term`` as a function of the slots and the registry, evaluated as
+    ``evaluate_term`` evaluates it."""
+    if isinstance(term, Variable):
+        return lambda slots, functions, i=slot[term.name]: slots[i]
+    if isinstance(term, Constant):
+        return lambda slots, functions: term
+    args = tuple(_compile_term(a, slot) for a in term.args)
+
+    def apply(slots: Slots, functions: FunctionRegistry) -> Value:
+        values = tuple([a(slots, functions) for a in args])
+        if any(isinstance(v, Null) for v in values):
+            raise ChaseError(f"function {term.function!r} applied to a null "
+                             f"value; function inputs must be ground")
+        if term.inverse:
+            return functions.call_inverse(term.function, values[0], values[1:])
+        return functions.call(term.function, values)
+    return apply
 
 
 @lru_cache(maxsize=1024)
@@ -114,15 +151,14 @@ def _plan(tgd: StTgd) -> _Plan:
             equal.setdefault(cond.left.name, []).append(cond.right.name)
             equal.setdefault(cond.right.name, []).append(cond.left.name)
     body = []
-    bound: set[str] = set()
+    slot: dict[str, int] = {}  # variables bound by earlier atoms -> slot
     for atom in tgd.body:
         positions: list[int] = []
-        sources: list[str] = []
+        sources: list[int] = []
         strict: list[int] = []
         constants: list[tuple[int, Constant]] = []
-        checks: list[tuple[int, str]] = []
+        checks: list[tuple[int, int]] = []
         repeats: list[tuple[int, int]] = []
-        binds: list[tuple[int, str]] = []
         first: dict[str, int] = {}  # variables this atom binds -> position
         keyed: set[str] = set()
         for pos, term in enumerate(atom.terms):
@@ -130,91 +166,95 @@ def _plan(tgd: StTgd) -> _Plan:
                 constants.append((pos, term))
             elif not isinstance(term, Variable):
                 raise ChaseError("function terms cannot appear in a body atom")
-            elif term.name in bound:
+            elif term.name in slot:
                 if term.name in keyed:
-                    checks.append((pos, term.name))
+                    checks.append((pos, slot[term.name]))
                 else:  # the key guarantees the value here
                     keyed.add(term.name)
                     positions.append(pos)
-                    sources.append(term.name)
+                    sources.append(slot[term.name])
             elif term.name in first:
                 repeats.append((pos, first[term.name]))
             else:
                 first[term.name] = pos
-                binds.append((pos, term.name))
-                source = next((v for v in equal.get(term.name, ()) if v in bound),
+                source = next((v for v in equal.get(term.name, ()) if v in slot),
                               None)
                 if source is not None:
                     positions.append(pos)
-                    sources.append(source)
+                    sources.append(slot[source])
                     strict.append(pos)
-        body.append(_BodyStep(atom.relation, tuple(positions), tuple(sources),
-                              tuple(strict), tuple(constants), tuple(checks),
-                              tuple(repeats), tuple(binds)))
-        bound.update(first)
+        body.append(_BodyStep(
+            atom.relation, itemgetter(*positions) if positions else None,
+            itemgetter(*sources) if sources else None, tuple(strict),
+            tuple(constants), tuple(checks), tuple(repeats),
+            _picker(list(first.values()))))
+        slot |= {name: len(slot) + i for i, name in enumerate(first)}
+    existential = tgd.existential_order()
+    slot |= {name: len(slot) + i for i, name in enumerate(existential)}
     head = tuple(
         _HeadStep(atom.relation, relation_tag(atom.relation),
-                  tuple(t.name for t in atom.terms)
+                  _picker([slot[t.name] for t in atom.terms])
                   if all(isinstance(t, Variable) for t in atom.terms) else None,
-                  atom.terms)
+                  tuple(_compile_term(t, slot) for t in atom.terms))
         for atom in tgd.head)
-    return _Plan(tuple(body), head, tgd.existential_order())
+    conditions = []
+    for cond in tgd.conditions:
+        ordered = cond.op != "="
+        left, right = (slot[t.name] if isinstance(t, Variable)
+                       else constant_order_key(t) if ordered else t
+                       for t in (cond.left, cond.right))
+        conditions.append((_TESTS[cond.op], ordered, left, right))
+    return _Plan(tuple(body), head, existential, tuple(conditions))
 
 
-def _index(facts: Sequence[Fact], step: _BodyStep) -> dict[tuple, list[Fact]]:
-    buckets: dict[tuple, list[Fact]] = {}
-    positions, strict = step.positions, step.strict
+def _index(facts: Sequence[Fact], step: _BodyStep) -> dict[object, list[Fact]]:
+    buckets: dict[object, list[Fact]] = {}
+    key, strict = step.key, step.strict
     for fact in facts:
         values = fact.values
         if strict and any(isinstance(values[p], Null) for p in strict):
             continue
-        buckets.setdefault(tuple([values[p] for p in positions]), []).append(fact)
+        buckets.setdefault(key(values), []).append(fact)
     return buckets
 
 
 def iter_body_matches(
     tgd: StTgd, facts: Mapping[str, Sequence[Fact]]
-) -> Iterator[tuple[Bindings, tuple[Fact, ...]]]:
-    """Body matches in deterministic order: the nested loop over the body
-    atoms, left to right, each over its facts in the given order.
+) -> Iterator[tuple[Slots, tuple[Fact, ...]]]:
+    """Body matches, each as its slots and the facts it used, in order: the
+    nested loop over the body atoms, left to right, each over its facts in
+    the given order.
 
     Every atom after the first is looked up in a hash index on the positions
     that earlier atoms fix, through a shared variable or an ``=`` condition
     between variables.  Buckets keep the given fact order, so the matches
     come out in nested-loop order, less those an ``=`` condition between
     atoms rules out.  Other conditions are not applied: the caller still
-    runs ``conditions_hold`` on every match.  An atom that binds no new
-    variable passes its bindings on unchanged, so a caller must not mutate
-    the dict it gets."""
+    runs ``conditions_hold`` on every match."""
     steps = _plan(tgd).body
-    pools = [_index(facts.get(step.relation, ()), step) if step.positions
+    pools = [_index(facts.get(step.relation, ()), step) if step.key
              else facts.get(step.relation, ()) for step in steps]
     last = len(steps) - 1
-    # Explicit stack: per depth, the facts left to try, the bindings made by
+    # Explicit stack: per depth, the facts left to try, the slots bound by
     # the atoms before it, and the fact it matched.
     todo = [iter(pools[0])] + [None] * last
-    bound: list[Bindings] = [{}] * (last + 1)
+    bound: list[Slots] = [()] * (last + 1)
     used: list[Fact] = [None] * (last + 1)
     depth = 0
     while depth >= 0:
         step = steps[depth]
-        bindings = bound[depth]
-        constants, checks, repeats, binds = (
-            step.constants, step.checks, step.repeats, step.binds)
+        slots = bound[depth]
+        constants, checks, repeats, bind = (
+            step.constants, step.checks, step.repeats, step.bind)
         for fact in todo[depth]:
             values = fact.values
             if constants and any(values[p] != c for p, c in constants):
                 continue
-            if checks and any(values[p] != bindings[v] for p, v in checks):
+            if checks and any(values[p] != slots[s] for p, s in checks):
                 continue
             if repeats and any(values[p] != values[q] for p, q in repeats):
                 continue
-            if binds:
-                extended = dict(bindings)
-                for p, v in binds:
-                    extended[v] = values[p]
-            else:
-                extended = bindings
+            extended = slots + bind(values)
             used[depth] = fact
             if depth == last:
                 yield extended, tuple(used)
@@ -222,8 +262,8 @@ def iter_body_matches(
             depth += 1
             nxt = steps[depth]
             pool = pools[depth]
-            if nxt.positions:
-                pool = pool.get(tuple([extended[v] for v in nxt.sources]), ())
+            if nxt.lookup is not None:
+                pool = pool.get(nxt.lookup(extended), ())
             todo[depth] = iter(pool)
             bound[depth] = extended
             break
@@ -231,38 +271,29 @@ def iter_body_matches(
             depth -= 1
 
 
-def _resolve_comparable(term: Term, bindings: Bindings) -> Value:
-    if isinstance(term, Variable):
-        return bindings[term.name]
-    if isinstance(term, Constant):
-        return term
-    raise ChaseError("comparisons cannot contain function terms")
-
-
-def conditions_hold(conditions: Sequence[Comparison], bindings: Bindings) -> bool:
-    """Evaluate comparison conditions; any null operand makes the trigger
-    non-matching (three-valued logic collapsed to false)."""
-    for cond in conditions:
-        left = _resolve_comparable(cond.left, bindings)
-        right = _resolve_comparable(cond.right, bindings)
-        if isinstance(left, Null) or isinstance(right, Null):
-            return False
-        if cond.op == "=":
-            ok = left == right
-        else:
-            lk, rk = constant_order_key(left), constant_order_key(right)
-            ok = {
-                "<": lk < rk,
-                "<=": lk <= rk,
-                ">": lk > rk,
-                ">=": lk >= rk,
-            }[cond.op]
-        if not ok:
+def conditions_hold(conditions: Sequence[tuple], slots: Slots) -> bool:
+    """Evaluate a plan's compiled comparison conditions over a match's
+    slots; any null operand makes the trigger non-matching (three-valued
+    logic collapsed to false)."""
+    for test, ordered, left, right in conditions:
+        if type(left) is int:
+            left = slots[left]
+            if isinstance(left, Null):
+                return False
+            if ordered:
+                left = constant_order_key(left)
+        if type(right) is int:
+            right = slots[right]
+            if isinstance(right, Null):
+                return False
+            if ordered:
+                right = constant_order_key(right)
+        if not test(left, right):
             return False
     return True
 
 
-def evaluate_term(term: Term, bindings: Bindings,
+def evaluate_term(term: Term, bindings: Mapping[str, Value],
                   functions: FunctionRegistry) -> Value:
     if isinstance(term, Variable):
         return bindings[term.name]
@@ -332,27 +363,22 @@ def chase(
     # per output fact, the body facts of each trigger that produced it
     derivations: dict[TupleId, list[tuple[Fact, ...]]] = {}
     derive = provenance_mode != "none"
-    fresh_id = ids.fresh
+    fresh_id, fresh_null = ids.fresh, nulls.fresh
 
     for tgd in mapping.sigma:
         plan = _plan(tgd)
-        existential, head = plan.existential, plan.head
+        conditions, existential, head = plan.conditions, plan.existential, plan.head
         distinct = len(head) > 1
-        for bindings, used in iter_body_matches(tgd, facts):
-            if not conditions_hold(tgd.conditions, bindings):
+        for slots, used in iter_body_matches(tgd, facts):
+            if not conditions_hold(conditions, slots):
                 continue
             if existential:
-                bindings = dict(bindings)
-                for var in existential:
-                    bindings[var] = nulls.fresh()
+                slots += tuple([fresh_null() for _ in existential])
             if distinct:
                 emitted: set[tuple[str, tuple[Value, ...]]] = set()
             for step in head:
-                if step.names is not None:
-                    vector = tuple([bindings[n] for n in step.names])
-                else:
-                    vector = tuple([evaluate_term(t, bindings, functions)
-                                    for t in step.terms])
+                vector = (step.pick(slots) if step.pick is not None else
+                          tuple([t(slots, functions) for t in step.terms]))
                 if distinct:
                     if (step.relation, vector) in emitted:
                         continue
@@ -393,8 +419,9 @@ def matched_source_ids(instance: Instance, mapping: SchemaMapping) -> frozenset[
     facts = _sorted_facts(instance)
     used: set[TupleId] = set()
     for tgd in mapping.sigma:
-        for bindings, witness in iter_body_matches(tgd, facts):
-            if conditions_hold(tgd.conditions, bindings):
+        conditions = _plan(tgd).conditions
+        for slots, witness in iter_body_matches(tgd, facts):
+            if conditions_hold(conditions, slots):
                 used.update(f.id for f in witness)
     return frozenset(used)
 
@@ -407,8 +434,6 @@ def expand_duplicates(
     """Undo value-level merging: a fact whose annotation sums n derivations is
     replaced by n facts with identical values and fresh ids, each carrying a
     single derivation.  Needs why- or how-provenance."""
-    from .errors import ProvenanceError
-
     if store.mode not in ("why", "how"):
         raise ProvenanceError(
             f"duplicate expansion needs why- or how-provenance, store has "

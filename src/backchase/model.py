@@ -235,20 +235,23 @@ class IdAllocator:
     def __init__(self):
         self._last: dict[str, int] = {}
 
-    def reserve(self, tid: TupleId) -> None:
-        if tid.ordinal > self._last.get(tid.tag, 0):
-            self._last[tid.tag] = tid.ordinal
-
     def fresh(self, tag: str) -> TupleId:
         nxt = self._last.get(tag, 0) + 1
         self._last[tag] = nxt
         return _new_tuple(TupleId, (tag, nxt))
 
 
+_TAG_UNSAFE = re.compile(r"[+*]|^\s+|\s+$")
+
+
 def relation_tag(name: str) -> str:
     """The lower-cased name, with ``_`` appended after a final digit so
-    that ``TupleId.parse`` splits every id of the relation back."""
+    that ``TupleId.parse`` splits every id of the relation back, and ``_``
+    for each ``+``, ``*`` and leading or trailing whitespace character, which
+    how-provenance text (``format_polynomial``) would split at or strip."""
     tag = name.lower()
+    if "+" in tag or "*" in tag or tag.strip() != tag:
+        tag = _TAG_UNSAFE.sub(lambda m: "_" * len(m[0]), tag)
     return tag + "_" if tag[-1:] in "0123456789" else tag
 
 

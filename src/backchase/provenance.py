@@ -78,9 +78,6 @@ class Polynomial:
     def monomials(self) -> Iterator[tuple[Monomial, int]]:
         return iter(self.terms)
 
-    def eval_all_ones(self) -> int:
-        return sum(c for _, c in self.terms)
-
 
 def poly_add(*ps: Polynomial) -> Polynomial:
     """Sum any number of canonical polynomials, canonicalizing once; the sum

@@ -35,7 +35,7 @@ from .provenance import (
     store_from_json,
     store_to_json,
 )
-from .tgds import SchemaMapping, format_tgd, parse_tgd
+from .tgds import SchemaMapping, parse_tgd
 
 
 def dumps(data) -> str:
@@ -116,15 +116,6 @@ def load_script(path: Path) -> list[SmoSpec]:
 # schema mappings
 
 
-def schema_to_json(schema: Schema) -> dict:
-    return {
-        "relations": [
-            {"name": r.name, "attributes": list(r.attributes)}
-            for r in schema.relations
-        ]
-    }
-
-
 def schema_from_json(obj) -> Schema:
     try:
         relations = [(r["name"], r["attributes"]) for r in obj["relations"]]
@@ -137,14 +128,6 @@ def schema_from_json(obj) -> Schema:
                 f"got {attributes!r}")
     return Schema(tuple(RelationSchema(name, tuple(attributes))
                         for name, attributes in relations))
-
-
-def mapping_to_json(mapping: SchemaMapping) -> dict:
-    return {
-        "source": schema_to_json(mapping.source),
-        "target": schema_to_json(mapping.target),
-        "tgds": [format_tgd(t) for t in mapping.sigma],
-    }
 
 
 def mapping_from_json(obj) -> SchemaMapping:

@@ -34,10 +34,39 @@ from backchase.model import (
     relation_tag,
 )
 from backchase.provenance import Polynomial, ProvenanceStore
-from backchase.tgds import Atom, Comparison, SchemaMapping, StTgd, Variable
+from backchase.tgds import (
+    Atom,
+    Comparison,
+    SchemaMapping,
+    StTgd,
+    Variable,
+    format_tgd,
+)
 
 TEXT_POOL = ("a", "b", "c", "d", "e", "f")
 NUM_POOL = ("1.0", "2.5", "3.0", "4.5", "5.0", "6.5")
+
+
+def reserve(ids: IdAllocator, tid: TupleId) -> None:
+    """Make ``ids`` continue after ``tid`` within its tag: allocator seeding
+    one id at a time, independent of ``model.seed_allocators``."""
+    if tid.ordinal > ids._last.get(tid.tag, 0):
+        ids._last[tid.tag] = tid.ordinal
+
+
+def eval_all_ones(poly: Polynomial) -> int:
+    """A how-provenance polynomial evaluated with every tuple id set to 1:
+    the number of derivations it sums."""
+    return sum(coeff for _, coeff in poly.terms)
+
+
+def mapping_to_json(mapping: SchemaMapping) -> dict:
+    """The JSON form ``storage.load_mapping`` reads."""
+    def schema(s: Schema) -> dict:
+        return {"relations": [{"name": r.name, "attributes": list(r.attributes)}
+                              for r in s.relations]}
+    return {"source": schema(mapping.source), "target": schema(mapping.target),
+            "tgds": [format_tgd(t) for t in mapping.sigma]}
 
 
 def inst(schema: Schema, **rows: Sequence[Sequence[str]]) -> Instance:
@@ -281,7 +310,7 @@ def chase_reference(instance: Instance, mapping: SchemaMapping, mode: str,
     ids = IdAllocator()
     rel_of = {}
     for rel, f in instance.iter_facts():
-        ids.reserve(f.id)
+        reserve(ids, f.id)
         rel_of[f.id] = rel
     tids: dict[tuple, TupleId] = {}
     rows: dict[str, list[Fact]] = {rel: [] for rel in mapping.target.names()}

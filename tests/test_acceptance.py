@@ -42,6 +42,7 @@ from support import (
     RESOURCE_CONFIGS,
     SMO_CASES,
     brute_force_hom_exists,
+    eval_all_ones,
     naive_trigger_matches,
     random_ground_instance,
     random_script,
@@ -348,7 +349,7 @@ def test_criterion_6_semiring(join_case, merge_column_case):
                 counts[key] = counts.get(key, 0) + 1
         for rel in out.schema.names():
             for f in out.facts(rel):
-                assert store.annotations[f.id].eval_all_ones() == \
+                assert eval_all_ones(store.annotations[f.id]) == \
                     counts[(rel, f.values)]
 
 

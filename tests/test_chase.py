@@ -26,7 +26,7 @@ from backchase import (
     parse_tgd,
     null,
 )
-from backchase.chase import conditions_hold, iter_body_matches, sorted_facts
+from backchase.chase import _plan, conditions_hold, iter_body_matches, sorted_facts
 from backchase.provenance import MODES, Polynomial, store_to_json
 from support import (
     COPY_COL_PARAMS,
@@ -34,6 +34,7 @@ from support import (
     RESOURCE_CONFIGS,
     SMO_CASES,
     chase_reference,
+    eval_all_ones,
     inst,
     naive_trigger_matches,
     random_ground_instance,
@@ -133,7 +134,7 @@ def test_eval_at_one_counts_derivations(join_case):
     for rel in out.schema.names():
         for f in out.facts(rel):
             ann = store.annotations[f.id]
-            assert ann.eval_all_ones() == naive_counts[(rel, f.values)]
+            assert eval_all_ones(ann) == naive_counts[(rel, f.values)]
 
 
 def test_monotonicity_of_union():
@@ -198,6 +199,23 @@ def test_function_over_null_raises():
     src = Instance(source, {"R": [Fact(TupleId("r", 1), (const("1"), null(1)))]})
     with pytest.raises(ChaseError):
         chase(src, mapping, "none")
+
+
+@pytest.mark.parametrize("values, function", [
+    ((const("1"), null(1), const("2")), "dec_add"),
+    ((const("1"), const("2"), null(1)), "concat_pipe"),
+    ((const("1"), null(1), null(2)), "dec_add"),  # arguments first, inner out
+])
+def test_function_over_null_error_text(values, function):
+    source = Schema.of(RelationSchema("R", ("x", "y", "z")))
+    target = Schema.of(RelationSchema("T", ("x",)))
+    mapping = SchemaMapping(source, target, (
+        parse_tgd("R(a, b, c) -> T(concat_pipe(dec_add(a, b), c))"),))
+    src = Instance(source, {"R": [Fact(TupleId("r", 1), values)]})
+    with pytest.raises(ChaseError) as raised:
+        chase(src, mapping, "none")
+    assert str(raised.value) == (f"function {function!r} applied to a null "
+                                 f"value; function inputs must be ground")
 
 
 def test_unregistered_function_raises():
@@ -267,8 +285,8 @@ def engine_triggers(instance, mapping):
     facts = {rel: sorted_facts(instance, rel) for rel in instance.schema.names()}
     return [(tgd, tuple(f.id for f in used))
             for tgd in mapping.sigma
-            for bindings, used in iter_body_matches(tgd, facts)
-            if conditions_hold(tgd.conditions, bindings)]
+            for slots, used in iter_body_matches(tgd, facts)
+            if conditions_hold(_plan(tgd).conditions, slots)]
 
 
 def naive_triggers(instance, mapping):
@@ -290,6 +308,14 @@ HANDWRITTEN = {
                          "AND U(N, d, M) AND T(a, N)", True),
     "function head": ("R(a, b, c) -> T(a, concat_pipe(b, c)) AND "
                       "U(dec_add(a, b), dec_add^-1(c, a), c)", False),
+    "one-term head": ("R(a, b) -> T(a)", True),
+    "head repeats a variable": ("R(a, b) -> T(a, a, b)", True),
+    "head constant": ("R(a, b) -> T(b, 'k', a)", True),
+    "body atom of constants only": ("R(a, b) AND V('x', 'y') -> T(a, b)", True),
+    "later atom binds nothing": ("R(a, b) AND V(b, a) -> T(a, b)", True),
+    "order against a constant": (
+        "R(a, b) AND a < '10' AND b >= '10' -> T(a, b)", True),
+    "nested function": ("R(a, b, c) -> T(dec_add(dec_add(a, b), c), a)", False),
 }
 HANDWRITTEN_POOL = [const(x) for x in ("x", "y", "1", "2.5")] + [null(1), null(2)]
 GROUND_POOL = [const(x) for x in ("1", "2.5", "-3", "0.75")]

@@ -273,6 +273,25 @@ def test_console_script_entry_point(tmp_path):
     assert "SPLIT_COLUMN" in proc.stdout
 
 
+@pytest.mark.parametrize("name", ["A+B", "A*B", " A", "A B", "A1"])
+def test_how_run_of_any_relation_name_inverts(tmp_path, capsys, name):
+    # tuple ids minted for the relation appear in how-provenance text, which
+    # splits at '+' and '*' and strips edge blanks
+    source, script = tmp_path / "source.json", tmp_path / "script.json"
+    source.write_text(json.dumps({"relations": [{
+        "name": name, "attributes": ["x"],
+        "tuples": [{"id": "t1", "values": [{"const": "1"}]}]}]}))
+    script.write_text(json.dumps({"steps": [
+        {"kind": "NOP"}, {"kind": "COPY_TABLE", "table": name, "copy": "C"}]}))
+    run, back = tmp_path / "run", tmp_path / "back.json"
+    assert run_cli("evolve", "--in", str(source), "--script", str(script),
+                   "--provenance", "how", "--out", str(run)) == 0
+    assert run_cli("invert", "--run", str(run), "--out", str(back)) == 0
+    from backchase import instances_equal
+    assert instances_equal(storage.load_instance(back),
+                           storage.load_instance(source))
+
+
 def test_invert_with_restriction(tmp_path, fixtures_dir, capsys):
     out = tmp_path / "run"
     run_cli("evolve",

@@ -22,7 +22,7 @@ from backchase import (
     null,
 )
 from backchase.model import IdAllocator, seed_allocators
-from support import fact_key, inst
+from support import fact_key, inst, reserve
 
 
 def test_constant_kinds():
@@ -356,7 +356,7 @@ def seed_allocators_by_generators(*instances):
     ids = IdAllocator()
     for instance in instances:
         for _, fact in instance.iter_facts():
-            ids.reserve(fact.id)
+            reserve(ids, fact.id)
     return nulls, ids
 
 

@@ -27,7 +27,7 @@ from backchase.model import (
 )
 from backchase.pipeline import backchase, evolve
 from backchase.provenance import side_table_from_json, store_to_json
-from support import RESOURCE_CONFIGS, SMO_CASES
+from support import RESOURCE_CONFIGS, SMO_CASES, mapping_to_json
 
 
 def test_run_directory_roundtrip(tmp_path, merge_column_case):
@@ -156,7 +156,7 @@ def test_mapping_file_roundtrip(tmp_path):
     path = tmp_path / "m.json"
     storage.write_json(path, obj)
     mapping = storage.load_mapping(path)
-    assert storage.mapping_to_json(mapping) == obj
+    assert mapping_to_json(mapping) == obj
 
 
 def test_read_json_errors(tmp_path):

@@ -20,6 +20,16 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CHASE_COUNTERS = (("chase", "iter_body_matches"), ("chase", "conditions_hold"))
 # The library modules the benchmark loads and traces.
 LIBRARY = ("analysis", "catalog", "chase", "pipeline", "storage")
+# Exact counts of the traced pass below: a chase that skipped
+# iter_body_matches or conditions_hold for a match would change them.
+COUNTS = {
+    "chase.body_matches": 12_960,
+    "chase.triggers_fired": 12_560,
+    "chase.facts_out": 10_980,
+    "provenance.poly_add.calls": 6_640,
+    "analysis.hom_facts": 2_400,
+    "analysis.find_homomorphism.calls": 4,
+}
 
 
 def test_every_traced_name_resolves(monkeypatch):
@@ -69,3 +79,4 @@ def test_a_traced_pass_completes(monkeypatch):
     assert values["trace.traced_s"] > 0
     assert abs(attributed + values["trace.unattributed_s"]
                - values["trace.traced_s"]) < 1e-6
+    assert {name: values[name] for name in COUNTS} == COUNTS
